@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .cartan import CartanDatum, RootSystem, build_root_system, symmetrizer
+from .linalg import rref_dense
 
 
 class ChevalleyError(RuntimeError):
@@ -189,9 +191,6 @@ class LieAlgebraTable:
     def f_index(self, r: int) -> int:
         return self.rank + self.n_positive + r
 
-    def killing_entry(self, a: int, b: int) -> Fraction:
-        return self.killing[a][b]
-
 
 def _killing_from_table(dim: int, rows) -> list[list[Fraction]]:
     """K(a, b) = trace(ad_a ad_b), computed from the sparse bracket table."""
@@ -236,22 +235,15 @@ def _invert_killing(table_k: list[list[Fraction]], rank: int, n_pos: int) -> lis
             if not (cartan_pair or ef_pair):
                 raise ChevalleyError(f"unexpected Killing entry at ({a}, {b})")
     inv = [[Fraction(0)] * dim for _ in range(dim)]
-    block = [[table_k[i][j] for j in range(rank)] for i in range(rank)]
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(rank)] for i, row in enumerate(block)]
-    for col in range(rank):
-        piv = next((r for r in range(col, rank) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ChevalleyError("singular Killing form on the Cartan block")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(rank):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    aug = [
+        [table_k[i][j] for j in range(rank)] + [Fraction(int(i == j)) for j in range(rank)]
+        for i in range(rank)
+    ]
+    red, pivots = rref_dense(aug)
+    if pivots != list(range(rank)):
+        raise ChevalleyError("singular Killing form on the Cartan block")
     for i in range(rank):
-        for j in range(rank):
-            inv[i][j] = aug[i][rank + j]
+        inv[i][:rank] = red[i][rank:]
     for r in range(n_pos):
         ei = rank + r
         fi = rank + n_pos + r

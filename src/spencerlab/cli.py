@@ -56,12 +56,10 @@ def _load_algebra(label: str):
 @click.group()
 @click.option("--max-dim", type=int, default=10_000_000, show_default=True,
               help="Cap on symmetric-power basis sizes.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker count; results are identical for any value.")
 @click.pass_context
-def main(ctx: click.Context, max_dim: int, threads: int) -> None:
+def main(ctx: click.Context, max_dim: int) -> None:
     """Spencer operator computations over exact rationals."""
-    ctx.obj = {"max_dim": max_dim, "threads": threads}
+    ctx.obj = {"max_dim": max_dim}
 
 
 @main.group()

@@ -17,9 +17,14 @@ from fractions import Fraction
 
 from .cartan import CartanError
 from .chevalley import LieAlgebraTable
-from .linalg import RankCertificate, kernel_with_certificate, same_subspace
+from .linalg import (
+    RankCertificate,
+    RankDisagreement,
+    kernel_with_certificate,
+    same_subspace,
+)
 from .operators import DualVector, SpencerMatrix, delta_constrained, neg_dual
-from .sym import DEFAULT_BASIS_CAP, SymElement, enumerate_basis, sym_dim
+from .sym import DEFAULT_BASIS_CAP, SymElement, enumerate_basis
 
 
 @dataclass
@@ -54,7 +59,11 @@ def kernel(mat: SpencerMatrix) -> tuple[KernelBasis, RankCertificate]:
         basis=basis,
         coords=vectors,
     )
-    assert cert.rank + kb.dim == mat.ncols
+    if cert.rank + kb.dim != mat.ncols:
+        raise RankDisagreement(
+            f"rank {cert.rank} plus kernel dimension {kb.dim} is not the "
+            f"column count {mat.ncols}"
+        )
     return kb, cert
 
 
@@ -194,9 +203,3 @@ def tension_report(
         measurement_consistent=consistent,
         notes=tuple(notes),
     )
-
-
-def rank_nullity_holds(
-    mat: SpencerMatrix, kb: KernelBasis, cert: RankCertificate
-) -> bool:
-    return kb.dim + cert.rank == sym_dim(mat.dim, mat.k_from)

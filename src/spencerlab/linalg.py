@@ -1,15 +1,25 @@
 """Exact rational and modular linear algebra for sparse operator matrices.
 
+Every sparse elimination goes through one class, :class:`Eliminator`.  It
+reduces vectors (dicts keyed by any totally ordered hashables) over the
+rationals or over F_p with one fixed pivot rule: vectors are reduced in the
+order given, a vector's lead is its smallest key, and a new pivot row is
+stored normalised with its lead entry removed.  Optionally each pivot also
+records the combination of inserted vectors (by caller tag) that produced
+it, which yields kernels and exact solves.
+
 The kernel pipeline follows a two-tier strategy:
 
-* small matrices go through dense exact elimination directly;
-* large ones get a rank estimate from sparse elimination modulo at least
-  three word-size primes (retried with fresh primes on disagreement),
-  followed by an exact sparse elimination pass that both produces the
-  kernel basis and confirms the modular rank.
+* small matrices are eliminated exactly at once;
+* large ones get a rank estimate modulo at least three word-size primes
+  (dense elimination up to ``DENSE_MODP_LIMIT`` entries, sparse above;
+  primes dividing a denominator of the matrix are skipped; retried with
+  fresh primes on disagreement), followed by an exact elimination pass that
+  both produces the kernel basis and confirms the modular rank.
 
 Either way every returned kernel vector is re-multiplied through the matrix
-and checked against zero before the result is handed back.
+and checked against zero before the result is handed back.  ``rref_dense``
+is the one dense exact routine, for small systems such as matrix inverses.
 """
 
 from __future__ import annotations
@@ -55,6 +65,103 @@ class RankCertificate:
 SparseCol = list[tuple[int, Fraction]]
 
 
+def _sub_scaled(dst: dict, factor, src: dict, p: int | None) -> None:
+    """dst -= factor * src in place, dropping entries that cancel."""
+    if p is None:
+        for r, v in src.items():
+            newv = dst.get(r, 0) - factor * v
+            if newv:
+                dst[r] = newv
+            else:
+                dst.pop(r, None)
+    else:
+        for r, v in src.items():
+            newv = (dst.get(r, 0) - factor * v) % p
+            if newv:
+                dst[r] = newv
+            else:
+                dst.pop(r, None)
+
+
+class Eliminator:
+    """Sparse exact elimination over Q (``p=None``, Fraction values) or F_p.
+
+    ``pivots`` maps each lead key to its normalised row without the lead
+    entry and, with ``track=True``, the combination of inserted vectors, by
+    tag, that equals the full pivot row.  Vectors given to the constructor
+    are inserted under their positions as tags.
+    """
+
+    def __init__(self, vectors: Iterable = (), p: int | None = None, track: bool = False):
+        self.p = p
+        self.track = track
+        self.pivots: dict = {}
+        for i, vec in enumerate(vectors):
+            self.insert(vec, i)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _scaled(self, vec: dict, c) -> dict:
+        if self.p is None:
+            return {r: v * c for r, v in vec.items()}
+        return {r: v * c % self.p for r, v in vec.items()}
+
+    def _eliminate(self, cur: dict, hist: dict | None):
+        """Reduce cur in place, mirroring every step on hist.
+
+        Returns the first lead without a pivot row, or None once cur is zero.
+        """
+        pivots, p = self.pivots, self.p
+        while cur:
+            lead = min(cur)
+            piv = pivots.get(lead)
+            if piv is None:
+                return lead
+            factor = cur.pop(lead)
+            row, comb = piv
+            _sub_scaled(cur, factor, row, p)
+            if hist is not None:
+                _sub_scaled(hist, factor, comb, p)
+        return None
+
+    def insert(self, vec, tag=None) -> dict | None:
+        """Add vec (a dict or (key, value) pairs) to the span.
+
+        Returns None when the span grew.  Otherwise vec is dependent and the
+        result is its relation: coefficients by tag, vec's own being 1, of
+        inserted vectors that sum to zero (empty when not tracking).
+        """
+        cur = dict(vec)
+        hist = {tag: Fraction(1) if self.p is None else 1} if self.track else None
+        lead = self._eliminate(cur, hist)
+        if lead is None:
+            return {} if hist is None else hist
+        factor = cur.pop(lead)
+        inv = 1 / Fraction(factor) if self.p is None else pow(factor, -1, self.p)
+        comb = None if hist is None else self._scaled(hist, inv)
+        self.pivots[lead] = (self._scaled(cur, inv), comb)
+        return None
+
+    def reduce(self, vec) -> dict:
+        """Remainder of vec after reduction; empty exactly when vec is in the span."""
+        cur = dict(vec)
+        self._eliminate(cur, None)
+        return cur
+
+    def solve(self, target) -> dict | None:
+        """Coefficients by tag with sum(c_t * vec_t) == target, or None.
+
+        None means target lies outside the span.  Needs ``track=True``.
+        """
+        cur = dict(target)
+        neg: dict = {}
+        if self._eliminate(cur, neg) is not None:
+            return None
+        return self._scaled(neg, -1)
+
+
 def rref_dense(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     mat = [row[:] for row in rows]
@@ -80,37 +187,14 @@ def rref_dense(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
-def nullspace_dense(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of the matrix given as dense rows, in RREF free-variable form."""
-    if not rows:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    rref, pivots = rref_dense(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def dense_rank(rows: list[list[Fraction]]) -> int:
-    return len(rref_dense(rows)[1]) if rows else 0
-
-
-def _columns_mod_p(cols: Sequence[SparseCol], p: int) -> list[dict[int, int]]:
-    out = []
+def _columns_mod_p(cols: Sequence[SparseCol], p: int):
     for col in cols:
         d: dict[int, int] = {}
         for r, v in col:
             val = (v.numerator * pow(v.denominator, -1, p)) % p
             if val:
                 d[r] = val
-        out.append(d)
-    return out
+        yield d
 
 
 DENSE_MODP_LIMIT = 4_000_000
@@ -145,76 +229,26 @@ def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -
 
 
 def sparse_rank_modp(cols: Sequence[SparseCol], p: int) -> int:
-    """Rank modulo p via sparse elimination over the column vectors.
-
-    Pivot rows are stored normalised with the lead entry stripped; the
-    reduction mutates the working vector in place and only ever introduces
-    coordinates above the current lead.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in _columns_mod_p(cols, p):
-        cur = col
-        while cur:
-            lead = min(cur)
-            piv = pivots.get(lead)
-            factor = cur.pop(lead)
-            if piv is None:
-                inv = pow(factor, -1, p)
-                pivots[lead] = {r: (v * inv) % p for r, v in cur.items()}
-                rank += 1
-                break
-            for r, v in piv.items():
-                newv = (cur.get(r, 0) - factor * v) % p
-                if newv:
-                    cur[r] = newv
-                else:
-                    cur.pop(r, None)
-    return rank
+    """Rank modulo p via sparse elimination over the column vectors."""
+    return Eliminator(_columns_mod_p(cols, p), p=p).rank
 
 
 def sparse_kernel_exact(
     cols: Sequence[SparseCol], ncols: int
 ) -> tuple[list[dict[int, Fraction]], int]:
-    """Exact kernel via elimination with combination history.
+    """Exact kernel in reduced (free-variable) form, and the rank.
 
-    Each column is reduced against the pivot rows found so far while the
-    combination used is tracked; columns that reduce to zero contribute a
-    kernel vector supported on the current column plus earlier pivots, which
-    is the standard reduced (free-variable) form.  Deterministic.
+    Column j is inserted under tag j; a column that reduces to zero yields
+    the kernel vector supported on it plus earlier pivot columns.
+    Deterministic.
     """
-    pivots: dict[int, tuple[dict[int, Fraction], dict[int, Fraction]]] = {}
-    kernel: list[dict[int, Fraction]] = []
-    rank = 0
+    elim = Eliminator(track=True)
+    kernel = []
     for j in range(ncols):
-        cur = {r: v for r, v in cols[j]}
-        hist: dict[int, Fraction] = {j: Fraction(1)}
-        while cur:
-            lead = min(cur)
-            piv = pivots.get(lead)
-            factor = cur.pop(lead)
-            if piv is None:
-                vec = {r: v / factor for r, v in cur.items()}
-                comb = {c: v / factor for c, v in hist.items()}
-                pivots[lead] = (vec, comb)
-                rank += 1
-                break
-            pvec, pcomb = piv
-            for r, v in pvec.items():
-                newv = cur.get(r, Fraction(0)) - factor * v
-                if newv:
-                    cur[r] = newv
-                else:
-                    cur.pop(r, None)
-            for c, v in pcomb.items():
-                newv = hist.get(c, Fraction(0)) - factor * v
-                if newv:
-                    hist[c] = newv
-                else:
-                    hist.pop(c, None)
-        else:
-            kernel.append(hist)
-    return kernel, rank
+        relation = elim.insert(cols[j], j)
+        if relation is not None:
+            kernel.append(relation)
+    return kernel, elim.rank
 
 
 def verify_kernel_vectors(
@@ -235,32 +269,28 @@ def verify_kernel_vectors(
     return True
 
 
+def _usable_primes(cols: Sequence[SparseCol]) -> list[int]:
+    """Pool primes, in pool order, that divide no denominator of the matrix."""
+    dens = {v.denominator for col in cols for _, v in col}
+    dens.discard(1)
+    return [p for p in PRIME_POOL if all(d % p for d in dens)]
+
+
 def kernel_with_certificate(
     cols: Sequence[SparseCol], nrows: int, ncols: int
 ) -> tuple[list[dict[int, Fraction]], RankCertificate]:
     """Kernel basis plus the rank certificate described in the module docs."""
     if nrows * ncols <= DENSE_ENTRY_LIMIT:
-        dense_rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for r, v in col:
-                dense_rows[r][j] = v
-        basis_rows = nullspace_dense(dense_rows, ncols)
-        vectors = [
-            {i: v for i, v in enumerate(vec) if v} for vec in basis_rows
-        ]
-        rank = ncols - len(vectors)
+        vectors, rank = sparse_kernel_exact(cols, ncols)
         if not verify_kernel_vectors(cols, vectors):
             raise RuntimeError("dense kernel failed the exact membership check")
-        cert = RankCertificate([], [], True, "dense-exact", rank)
-        return vectors, cert
+        # "dense-exact" names the small-matrix tier in the report format.
+        return vectors, RankCertificate([], [], True, "dense-exact", rank)
 
-    attempts = 0
-    primes: list[int] = []
-    ranks: list[int] = []
+    pool = _usable_primes(cols)
     use_dense_modp = nrows * ncols <= DENSE_MODP_LIMIT
-    while attempts < 4:
-        offset = attempts * 3
-        primes = list(PRIME_POOL[offset : offset + 3])
+    for attempt in range(4):
+        primes = pool[attempt * 3 : attempt * 3 + 3]
         if len(primes) < 3:
             raise RankDisagreement("prime pool exhausted")
         if use_dense_modp:
@@ -269,7 +299,6 @@ def kernel_with_certificate(
             ranks = [sparse_rank_modp(cols, p) for p in primes]
         if len(set(ranks)) == 1:
             break
-        attempts += 1
     else:
         raise RankDisagreement(f"modular ranks disagree persistently: {ranks}")
 
@@ -291,127 +320,14 @@ def kernel_with_certificate(
     return vectors, cert
 
 
-def sparse_rank_exact(cols: Sequence[SparseCol], ncols: int) -> int:
-    return sparse_kernel_exact(cols, ncols)[1]
+def span_rank(vectors: Iterable) -> int:
+    """Exact rank of sparse vectors (dicts or (key, value) pairs)."""
+    return Eliminator(vectors).rank
 
 
-def span_rank(vectors: Sequence[dict[int, Fraction]]) -> int:
-    """Rank of a list of sparse coordinate vectors."""
-    cols = [sorted((r, v) for r, v in vec.items()) for vec in vectors]
-    return sparse_rank_exact(cols, len(cols))
-
-
-def same_subspace(
-    basis_a: Sequence[dict[int, Fraction]], basis_b: Sequence[dict[int, Fraction]]
-) -> bool:
-    """Exact subspace equality via ranks of the stacked bases."""
-    ra = span_rank(basis_a)
-    rb = span_rank(basis_b)
-    if ra != rb:
+def same_subspace(basis_a: Sequence[dict], basis_b: Sequence[dict]) -> bool:
+    """Exact subspace equality: equal ranks and basis_b inside span(basis_a)."""
+    span_a = Eliminator(basis_a)
+    if span_rank(basis_b) != span_a.rank:
         return False
-    return span_rank(list(basis_a) + list(basis_b)) == ra
-
-
-class ReducedSpan:
-    """Incrementally reduced span supporting exact membership queries."""
-
-    def __init__(self, vectors: Iterable[dict[int, Fraction]] = ()):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
-        for v in vectors:
-            self.insert(v)
-
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        cur = dict(vec)
-        while cur:
-            lead = min(cur)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return cur
-            factor = cur[lead]
-            for r, v in piv.items():
-                newv = cur.get(r, Fraction(0)) - factor * v
-                if newv:
-                    cur[r] = newv
-                else:
-                    cur.pop(r, None)
-        return cur
-
-    def insert(self, vec: dict[int, Fraction]) -> bool:
-        """Insert if independent; returns True when the span grew."""
-        red = self.reduce(vec)
-        if not red:
-            return False
-        lead = min(red)
-        scale = red[lead]
-        self.pivots[lead] = {r: v / scale for r, v in red.items()}
-        return True
-
-    def contains(self, vec: dict[int, Fraction]) -> bool:
-        return not self.reduce(vec)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-class SpanSolver:
-    """Span with coefficient tracking: solves target = sum c_i * vec_i exactly.
-
-    Rows are stored keyed by their lead coordinate; solving is a sparse
-    triangular pass that either settles every coordinate or reports the
-    target as outside the span.  Keys may be any totally ordered hashables.
-    """
-
-    def __init__(self):
-        self.rows: dict = {}
-
-    def insert(self, vec: dict, tag) -> bool:
-        """Insert a vector under a caller tag; returns False if dependent."""
-        cur = dict(vec)
-        hist = {tag: Fraction(1)}
-        while cur:
-            lead = min(cur)
-            row = self.rows.get(lead)
-            if row is None:
-                self.rows[lead] = (cur, hist)
-                return True
-            rvec, rhist = row
-            factor = cur[lead] / rvec[lead]
-            for r, v in rvec.items():
-                newv = cur.get(r, Fraction(0)) - factor * v
-                if newv:
-                    cur[r] = newv
-                else:
-                    cur.pop(r, None)
-            for t, v in rhist.items():
-                newv = hist.get(t, Fraction(0)) - factor * v
-                if newv:
-                    hist[t] = newv
-                else:
-                    hist.pop(t, None)
-        return False
-
-    def solve(self, target: dict) -> dict | None:
-        """Coefficients by tag expressing target over the span, or None."""
-        cur = dict(target)
-        out: dict = {}
-        while cur:
-            lead = min(cur)
-            row = self.rows.get(lead)
-            if row is None:
-                return None
-            rvec, rhist = row
-            factor = cur[lead] / rvec[lead]
-            for r, v in rvec.items():
-                newv = cur.get(r, Fraction(0)) - factor * v
-                if newv:
-                    cur[r] = newv
-                else:
-                    cur.pop(r, None)
-            for t, v in rhist.items():
-                newv = out.get(t, Fraction(0)) + factor * v
-                if newv:
-                    out[t] = newv
-                else:
-                    out.pop(t, None)
-        return out
+    return not any(span_a.reduce(vec) for vec in basis_b)

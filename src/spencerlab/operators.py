@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chevalley import LieAlgebraTable
-from .linalg import SparseCol
+from .linalg import SparseCol, span_rank
 from .sym import (
     DEFAULT_BASIS_CAP,
     SymElement,
@@ -452,14 +452,12 @@ def nilpotency_audit(
     alg: LieAlgebraTable, lam: DualVector, k: int, cap: int = DEFAULT_BASIS_CAP
 ) -> dict:
     """Exact summary of delta^{k+1} o delta^k; reported, never assumed zero."""
-    from .linalg import sparse_rank_exact
-
     lam = check_dual_vector(alg, lam)
     lower = delta_constrained(alg, lam, k, cap)
     upper = delta_constrained(alg, lam, k + 1, cap)
     composite = upper.compose(lower)
     max_entry = composite.max_abs_entry()
-    rank = sparse_rank_exact(composite.cols, composite.ncols)
+    rank = span_rank(composite.cols)
     return {
         "algebra": alg.label,
         "k": k,

@@ -69,7 +69,10 @@ def parse_lambda_spec(alg: LieAlgebraTable, spec: str) -> DualVector:
             raise ValueError(
                 f"dual vector file has {len(data)} entries, algebra dim is {alg.dim}"
             )
-        return tuple(Fraction(int(n), int(d)) for n, d in data)
+        try:
+            return tuple(Fraction(int(n), int(d)) for n, d in data)
+        except ZeroDivisionError as exc:
+            raise ValueError("dual vector file has an entry with denominator 0") from exc
     raise ValueError(f"cannot parse lambda spec {spec!r}")
 
 

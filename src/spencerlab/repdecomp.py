@@ -18,7 +18,7 @@ from fractions import Fraction
 from .cartan import symmetrizer
 from .chevalley import LieAlgebraTable
 from .kernels import KernelBasis
-from .linalg import ReducedSpan, span_rank
+from .linalg import Eliminator, rref_dense, span_rank
 from .sym import SymElement
 
 WeightVector = tuple[int, ...]
@@ -60,9 +60,7 @@ def ad_action_on_sym(alg: LieAlgebraTable, x: SymElement, s: SymElement) -> SymE
 
 def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     """Check ad-stability of the kernel span; failures list (x, s) pairs."""
-    span = ReducedSpan()
-    for el in kb.basis:
-        span.insert(dict(el.terms))
+    span = Eliminator(el.terms for el in kb.basis)
     violations = []
     for a in range(alg.dim):
         x = SymElement.basis_vector(alg.dim, a)
@@ -70,7 +68,7 @@ def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
             img = ad_action_on_sym(alg, x, s)
             if img.is_zero():
                 continue
-            if not span.contains(dict(img.terms)):
+            if span.reduce(img.terms):
                 violations.append([a, s_idx])
     return {
         "algebra": alg.label,
@@ -97,22 +95,11 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
             if mono not in mono_weight:
                 mono_weight[mono] = monomial_weight(alg, mono)
             weights_present.add(mono_weight[mono])
-    mono_ids: dict[tuple[int, ...], int] = {}
-
-    def mono_id(m: tuple[int, ...]) -> int:
-        got = mono_ids.get(m)
-        if got is None:
-            got = len(mono_ids)
-            mono_ids[m] = got
-        return got
-
     multiplicities: dict[WeightVector, int] = {}
     for mu in sorted(weights_present):
-        off_vectors = []
-        for el in kb.basis:
-            vec = {m: v for m, v in el.terms.items() if mono_weight[m] != mu}
-            off_vectors.append(vec)
-        r = span_rank([{mono_id(m): v for m, v in vec.items()} for vec in off_vectors])
+        r = span_rank(
+            {m: v for m, v in el.terms.items() if mono_weight[m] != mu} for el in kb.basis
+        )
         d = kb.dim - r
         if d:
             multiplicities[mu] = d
@@ -142,22 +129,12 @@ class WeightLattice:
         ]
         # Gram matrix of the fundamental weights: (A^-1 D) with D_i = d_i.
         n = self.rank
-        aug = [
+        red, _ = rref_dense([
             [Fraction(cartan[i][j]) for j in range(n)]
             + [Fraction(int(i == j)) for j in range(n)]
             for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        ainv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-        self.ainv = ainv
+        ])
+        self.ainv = ainv = [row[n:] for row in red]
         # (omega_i, omega_j) = sum_k Ainv[k][i] * d_k * A[k][l] * Ainv[l][j]
         # reduces to Ainv[j][i] * d_j ... computed directly below.
         self.gram = [

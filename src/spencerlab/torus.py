@@ -6,8 +6,9 @@ bidegree (p, q); the coupled differential is exposed as its two components
 (d alpha (x) s, +/- alpha (x) delta(s)) of bidegrees (p+1, q) and (p, q+1).
 On cochains whose algebra part lies in the degenerate kernel the second
 component vanishes identically and the complex collapses to forms tensored
-with the kernel, whose cohomology is computed honestly (Kronecker matrices,
-exact ranks) and compared against the product prediction b_k * dim(kernel).
+with the kernel, whose cohomology is computed honestly (exact ranks of the
+sparse Kronecker operators d (x) I) and compared against the product
+prediction b_k * dim(kernel).
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from itertools import combinations, product
 
 from .chevalley import LieAlgebraTable
 from .kernels import KernelBasis, kernel_of_constrained
-from .linalg import SpanSolver, dense_rank, nullspace_dense
+from .linalg import (
+    Eliminator,
+    SparseCol,
+    span_rank,
+    sparse_kernel_exact,
+    verify_kernel_vectors,
+)
 from .operators import DualVector, apply_delta, generator_images
 from .sym import DEFAULT_BASIS_CAP, SymElement
 
@@ -69,20 +76,21 @@ class CellComplex:
                 yield row, idx_k[(self.shift(pos, axis), rest)], sign
                 yield row, idx_k[(pos, rest)], -sign
 
-    def coboundary_matrix(self, k: int) -> list[list[Fraction]]:
-        rows = [
-            [Fraction(0)] * self.n_cells(k) for _ in range(self.n_cells(k + 1))
-        ]
+    def coboundary_columns(self, k: int) -> list[SparseCol]:
+        """Sparse columns of d_k, one per k-cell; all empty for k >= dimension."""
+        cols: list[dict[int, int]] = [{} for _ in range(self.n_cells(k))]
         for r, c, s in self.coboundary_entries(k):
-            rows[r][c] += s
-        return rows
+            v = cols[c].get(r, 0) + s
+            if v:
+                cols[c][r] = v
+            else:
+                cols[c].pop(r, None)
+        return [[(r, Fraction(v)) for r, v in col.items()] for col in cols]
 
     def betti_numbers(self) -> list[int]:
         """de Rham Betti numbers over the rationals, by exact ranks."""
         d = self.dimension
-        ranks = []
-        for k in range(d):
-            ranks.append(dense_rank(self.coboundary_matrix(k)))
+        ranks = [span_rank(self.coboundary_columns(k)) for k in range(d)]
         betti = []
         for k in range(d + 1):
             z = self.n_cells(k) - (ranks[k] if k < d else 0)
@@ -151,23 +159,6 @@ def spencer_differential(
     return first, second
 
 
-def _kronecker_rows(
-    form_rows: list[list[Fraction]], kernel_dim: int
-) -> list[list[Fraction]]:
-    """Rows of (d tensor identity) on kernel-valued cochains."""
-    if kernel_dim == 0:
-        return []
-    out = []
-    for row in form_rows:
-        for s in range(kernel_dim):
-            big = [Fraction(0)] * (len(row) * kernel_dim)
-            for j, v in enumerate(row):
-                if v:
-                    big[j * kernel_dim + s] = v
-            out.append(big)
-    return out
-
-
 @dataclass
 class CohomologyReport:
     dimension: int
@@ -204,9 +195,10 @@ def degenerate_cohomology(
 ) -> CohomologyReport:
     """Cohomology of forms valued in the degenerate kernel, checked exactly.
 
-    The per-degree dimensions are computed from the actual Kronecker
-    matrices and then asserted equal to b_p * dim(kernel); a mismatch is a
-    hard failure since the identity is forced for a product complex.
+    The per-degree dimensions are computed from exact ranks of the actual
+    Kronecker operators d_p (x) I_kappa and then asserted equal to
+    b_p * dim(kernel); a mismatch is a hard failure since the identity is
+    forced for a product complex.
     """
     if kb is None:
         kb, _ = kernel_of_constrained(alg, lam, k, cap)
@@ -216,8 +208,12 @@ def degenerate_cohomology(
     dims: list[int] = []
     ranks: list[int] = []
     for p in range(d):
-        rows = _kronecker_rows(complex_.coboundary_matrix(p), kappa)
-        ranks.append(dense_rank(rows) if rows else 0)
+        # column j*kappa + s of d_p (x) I_kappa is column j of d_p on coordinate s
+        ranks.append(span_rank(
+            [(r * kappa + s, v) for r, v in col]
+            for col in complex_.coboundary_columns(p)
+            for s in range(kappa)
+        ))
     for p in range(d + 1):
         z = complex_.n_cells(p) * kappa - (ranks[p] if p < d else 0)
         b = ranks[p - 1] if p >= 1 else 0
@@ -248,51 +244,30 @@ class DeRhamClasses:
     def __init__(self, complex_: CellComplex, p: int):
         self.complex = complex_
         self.p = p
-        n_p = complex_.n_cells(p)
-        if p < complex_.dimension:
-            d_p = complex_.coboundary_matrix(p)
-            self.cocycles = nullspace_dense(d_p, n_p)
-        else:
-            self.cocycles = [
-                [Fraction(int(i == j)) for i in range(n_p)] for j in range(n_p)
-            ]
-        self.solver = SpanSolver()
+        self.columns = complex_.coboundary_columns(p)
+        self.cocycles, _ = sparse_kernel_exact(self.columns, len(self.columns))
+        self.solver = Eliminator(track=True)
         if p >= 1:
-            d_prev = complex_.coboundary_matrix(p - 1)
-            ncols_prev = complex_.n_cells(p - 1)
-            for j in range(ncols_prev):
-                vec = {r: d_prev[r][j] for r in range(n_p) if d_prev[r][j]}
-                if vec:
-                    self.solver.insert(vec, ("boundary", j))
+            for j, col in enumerate(complex_.coboundary_columns(p - 1)):
+                self.solver.insert(col, ("boundary", j))
         # Representatives of a basis of H^p: cocycles independent mod boundaries.
         self.class_reps: list[dict[int, Fraction]] = []
         for vec in self.cocycles:
-            s = {i: v for i, v in enumerate(vec) if v}
-            if s and self.solver.insert(s, ("class", len(self.class_reps))):
-                self.class_reps.append(s)
+            if self.solver.insert(vec, ("class", len(self.class_reps))) is None:
+                self.class_reps.append(vec)
 
     @property
     def betti(self) -> int:
         return len(self.class_reps)
 
     def is_cocycle(self, vec: dict[int, Fraction]) -> bool:
-        if self.p >= self.complex.dimension:
-            return True
-        d_p = self.complex.coboundary_matrix(self.p)
-        for r in range(self.complex.n_cells(self.p + 1)):
-            total = Fraction(0)
-            for c, v in vec.items():
-                if d_p[r][c]:
-                    total += d_p[r][c] * v
-            if total:
-                return False
-        return True
+        return verify_kernel_vectors(self.columns, [vec])
 
     def class_coordinates(self, vec: dict[int, Fraction]) -> list[Fraction]:
         """Coordinates of [vec] in the chosen H^p basis; vec must be closed."""
         if not self.is_cocycle(vec):
             raise ValueError("representative is not closed")
-        combo = self.solver.solve(dict(vec))
+        combo = self.solver.solve(vec)
         if combo is None:
             raise RuntimeError("closed form failed to reduce to the class basis")
         coords = [Fraction(0)] * len(self.class_reps)
@@ -333,10 +308,7 @@ def _coords_in_basis(
     basis: list[dict[tuple, Fraction]], target: dict[tuple, Fraction]
 ) -> list[Fraction] | None:
     """Solve target = sum c_i basis_i exactly; None when outside the span."""
-    solver = SpanSolver()
-    for i, vec in enumerate(basis):
-        solver.insert(dict(vec), i)
-    combo = solver.solve(dict(target))
+    combo = Eliminator(basis, track=True).solve(target)
     if combo is None:
         return None
     out = [Fraction(0)] * len(basis)

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from spencerlab.cli import main
+from spencerlab.linalg import PRIME_POOL
 from spencerlab.reports import SchemaError, body_bytes, validate_report
 
 
@@ -112,6 +113,32 @@ def test_kernel_decompose_option(runner):
     rep = _report(result)
     dec = rep["body"]["decomposition"]
     assert dec["advisory"] is True
+
+
+def _lambda_file(tmp_path, entries):
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps(entries))
+    return f"file:{path}"
+
+
+def test_kernel_lambda_zero_denominator_exits_2(runner, tmp_path):
+    spec = _lambda_file(tmp_path, [[1, 0]] + [[0, 1]] * 7)
+    result = runner.invoke(main, ["kernel", "--algebra", "A2", "--k", "1", "--lambda", spec])
+    assert result.exit_code == 2
+    assert "Error: dual vector file has an entry with denominator 0" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_kernel_skips_prime_dividing_lambda_denominator(runner, tmp_path):
+    entries = [[0, 1]] * 8
+    entries[3] = [1, PRIME_POOL[0]]
+    result = runner.invoke(
+        main, ["kernel", "--algebra", "A2", "--k", "3", "--lambda", _lambda_file(tmp_path, entries)]
+    )
+    cert = _report(result)["body"]["certificate"]
+    assert cert["primes_used"] == list(PRIME_POOL[1:4])
+    assert cert["modular_ranks"] == [cert["rank"]] * 3
+    assert cert["method"] == "multi-modular+exact" and cert["exact_confirmed"]
 
 
 def test_verify_command_passes(runner):

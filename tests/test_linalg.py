@@ -4,13 +4,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spencerlab.linalg import (
     PRIME_POOL,
-    ReducedSpan,
-    dense_rank,
+    Eliminator,
+    dense_rank_modp,
     kernel_with_certificate,
-    nullspace_dense,
     rref_dense,
     same_subspace,
     span_rank,
@@ -31,6 +32,10 @@ def _random_matrix(rng, nrows, ncols, rank):
     return rows
 
 
+def _rank(rows):
+    return len(rref_dense(rows)[1])
+
+
 def _to_cols(rows, ncols):
     cols = []
     for j in range(ncols):
@@ -49,10 +54,10 @@ def test_rref_identity():
 def test_nullspace_simple():
     # x + y + z = 0 has a 2-dimensional kernel
     rows = [[Q(1), Q(1), Q(1)]]
-    basis = nullspace_dense(rows, 3)
+    basis, _rank_found = sparse_kernel_exact(_to_cols(rows, 3), 3)
     assert len(basis) == 2
     for vec in basis:
-        assert sum(vec, Q(0)) == 0
+        assert sum(vec.values(), Q(0)) == 0
 
 
 def test_sparse_exact_matches_dense():
@@ -63,7 +68,7 @@ def test_sparse_exact_matches_dense():
         rows = _random_matrix(rng, nrows, ncols, target)
         cols = _to_cols(rows, ncols)
         vectors, rank = sparse_kernel_exact(cols, ncols)
-        assert rank == dense_rank(rows)
+        assert rank == _rank(rows)
         assert len(vectors) == ncols - rank
         assert verify_kernel_vectors(cols, vectors)
 
@@ -73,7 +78,7 @@ def test_modular_rank_agrees_with_exact():
     for _ in range(15):
         rows = _random_matrix(rng, 6, 5, rng.randint(0, 4))
         cols = _to_cols(rows, 5)
-        exact = dense_rank(rows)
+        exact = _rank(rows)
         for p in PRIME_POOL[:3]:
             assert sparse_rank_modp(cols, p) == exact
 
@@ -114,10 +119,10 @@ def test_same_subspace_detects_difference():
 
 
 def test_reduced_span_membership():
-    span = ReducedSpan([{0: Q(1), 1: Q(2)}, {1: Q(1), 2: Q(1)}])
+    span = Eliminator([{0: Q(1), 1: Q(2)}, {1: Q(1), 2: Q(1)}])
     assert span.rank == 2
-    assert span.contains({0: Q(2), 1: Q(5), 2: Q(1)})
-    assert not span.contains({2: Q(1)})
+    assert not span.reduce({0: Q(2), 1: Q(5), 2: Q(1)})
+    assert span.reduce({2: Q(1)})
 
 
 def test_prime_pool_is_prime():
@@ -133,3 +138,65 @@ def test_prime_pool_is_prime():
 
     assert all(is_prime(p) for p in PRIME_POOL)
     assert len(set(PRIME_POOL)) == len(PRIME_POOL)
+
+
+# Entries n/d with |n| <= 3 and d <= 3 in at most 5 x 5 matrices: after
+# clearing denominators every minor is below 2^27 by Hadamard's bound, so no
+# pool prime can divide a nonzero minor and the modular ranks must be exact.
+_entries = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+_matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                           min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_matrices, weights=st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_eliminator_property(rows, weights):
+    nrows, ncols = len(rows), len(rows[0])
+    cols = _to_cols(rows, ncols)
+    rref, pivots = rref_dense(rows)
+    exact = len(pivots)
+    assert Eliminator(cols).rank == exact
+    for p in PRIME_POOL[:3]:
+        assert sparse_rank_modp(cols, p) == exact
+        assert dense_rank_modp(cols, nrows, ncols, p) == exact
+    # kernel vectors keep the RREF free-variable form
+    vectors, rank = sparse_kernel_exact(cols, ncols)
+    assert rank == exact
+    free = [c for c in range(ncols) if c not in pivots]
+    for vec, fc in zip(vectors, free):
+        expect = {fc: Q(1)}
+        for r, pc in enumerate(pivots):
+            if rref[r][fc]:
+                expect[pc] = -rref[r][fc]
+        assert vec == expect
+    # solve reconstructs every in-span target from the inserted columns
+    solver = Eliminator(cols, track=True)
+    target: dict = {}
+    for w, col in zip(weights, cols):
+        for r, v in col:
+            target[r] = target.get(r, Q(0)) + w * v
+    target = {r: v for r, v in target.items() if v}
+    combo = solver.solve(target)
+    assert combo is not None
+    rebuilt: dict = {}
+    for j, c in combo.items():
+        for r, v in cols[j]:
+            rebuilt[r] = rebuilt.get(r, Q(0)) + c * v
+    assert {r: v for r, v in rebuilt.items() if v} == target
+    outside = {nrows: Q(1)}
+    assert solver.solve(outside) is None and solver.reduce(outside)
+
+
+def test_certificate_skips_prime_dividing_denominator():
+    # Above the dense-exact limit, with one entry whose denominator is the
+    # first pool prime: that prime is skipped, the next three are used.
+    nrows, ncols = 200, 150
+    cols = [[(j, Q(1, PRIME_POOL[0]) if j == 0 else Q(1))] for j in range(ncols - 1)]
+    cols.append([(0, Q(1)), (1, Q(2))])
+    vectors, cert = kernel_with_certificate(cols, nrows, ncols)
+    assert cert.primes_used == list(PRIME_POOL[1:4])
+    assert cert.modular_ranks == [ncols - 1] * 3
+    assert cert.method == "multi-modular+exact" and cert.exact_confirmed
+    assert vectors == [{ncols - 1: Q(1), 0: -Q(PRIME_POOL[0]), 1: Q(-2)}]
