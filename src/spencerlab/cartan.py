@@ -5,13 +5,19 @@ Conventions used throughout the package:
 * Cartan matrix entries are ``A[i][j] = <alpha_j, alpha_i^vee>``, i.e. row i
   pairs the other simple roots against the i-th coroot.
 * Roots are stored as integer coordinate tuples in the simple-root basis.
+* Weights are stored as Dynkin labels ``lambda_i = <lambda, alpha_i^vee>``.
 * The invariant form is normalised so that short roots have squared length 2.
+
+``geometry(datum)`` computes the root and weight geometry of a datum once per
+process and keeps it in integers; every squared length, coroot, pairing and
+weight inner product in the package is read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -125,27 +131,19 @@ def symmetrizer(cartan_matrix: Sequence[Sequence[int]]) -> list[Fraction]:
     """
     n = len(cartan_matrix)
     d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
     # Propagate over the Dynkin graph; connected components each get a seed.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if d[i] is None:
-                continue
+    for seed in range(n):
+        if d[seed] is not None:
+            continue
+        d[seed] = Fraction(1)
+        stack = [seed]
+        while stack:
+            i = stack.pop()
             for j in range(n):
                 if i != j and cartan_matrix[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * cartan_matrix[i][j] / cartan_matrix[j][i]
-                    changed = True
-        if all(x is not None for x in d):
-            break
-        if not changed:
-            for i in range(n):
-                if d[i] is None:
-                    d[i] = Fraction(1)
-                    changed = True
-                    break
-    dmin = min(x for x in d if x is not None)
+                    stack.append(j)
+    dmin = min(d)  # type: ignore[type-var]
     return [x / dmin for x in d]  # type: ignore[operator]
 
 
@@ -215,13 +213,96 @@ def root_height(beta: tuple[int, ...]) -> int:
     return sum(beta)
 
 
+def _integral(values: list[Fraction], message: str) -> tuple[int, ...]:
+    if any(x.denominator != 1 for x in values):
+        raise CartanError(message)
+    return tuple(int(x) for x in values)
+
+
+def _adjugate(cartan_matrix) -> tuple[int, list[list[int]]]:
+    """det A and adj A = det(A) A^-1 by fraction-free Gauss-Jordan elimination.
+
+    Divisions are exact and need no pivoting: the k-th pivot is the k-th
+    leading principal minor, positive for a finite-type Cartan matrix.
+    """
+    n = len(cartan_matrix)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan_matrix)]
+    prev = 1
+    for k in range(n):
+        piv = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[k])]
+        prev = piv
+    return prev, [row[n:] for row in m]
+
+
+class RootGeometry:
+    """Root and weight geometry of one Cartan datum, in integers.
+
+    Per positive root beta (in ``root_system`` order): ``labels`` holds
+    <beta, alpha_i^vee>, ``norm2`` holds (beta, beta) and ``coroots`` holds
+    beta^vee = 2 beta / (beta, beta) on the simple coroots.  A weight with
+    labels lambda has root coordinates A^-1 lambda, and (omega_i, omega_j) =
+    A^-1[i][j] d_i; ``dot`` and ``height`` return det(A) times the inner
+    product and the height, through ``adj`` = det(A) A^-1.
+    """
+
+    def __init__(self, datum: CartanDatum):
+        a = self.cartan = datum.cartan_matrix
+        n = datum.rank
+        self.root_system = build_root_system(datum)
+        self.d = _integral(symmetrizer(a), f"{datum.label}: non-integral symmetrizer")
+        # alpha_i in label coordinates is column i of the Cartan matrix.
+        self.simple_labels = tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+        pos = self.root_system.positive_roots
+        self.labels = tuple(tuple(_pairing(a, beta, i) for i in range(n)) for beta in pos)
+        self.norm2 = tuple(self.root_norm2(beta) for beta in pos)
+        # alpha_i = d_i alpha_i^vee
+        self.coroots = tuple(
+            _integral([Fraction(2 * c * di, nb) for c, di in zip(beta, self.d)],
+                      f"{datum.label}: non-integral coroot for {beta}")
+            for beta, nb in zip(pos, self.norm2)
+        )
+        self.det, adj = _adjugate(a)
+        self.adj = tuple(map(tuple, adj))
+        self.gram = tuple(tuple(x * di for x in row) for row, di in zip(adj, self.d))
+        # column i of adj is det(A) omega_i in root coordinates
+        self.height_row = tuple(root_height(col) for col in zip(*adj))
+
+    def root_norm2(self, beta: tuple[int, ...]) -> int:
+        """(beta, beta) = sum_i beta_i d_i <beta, alpha_i^vee>."""
+        return sum(
+            c * di * _pairing(self.cartan, beta, i) for i, (c, di) in enumerate(zip(beta, self.d))
+        )
+
+    def dot(self, lam: Sequence[int], mu: Sequence[int]) -> int:
+        """det(A) (lam, mu) for weights in label coordinates."""
+        return sum(
+            x * sum(g * y for g, y in zip(row, mu)) for x, row in zip(lam, self.gram) if x
+        )
+
+    def height(self, lam: Sequence[int]) -> int:
+        """det(A) times the height (coordinate sum in the simple roots) of lam."""
+        return sum(h * x for h, x in zip(self.height_row, lam))
+
+    def dot_root(self, lam: Sequence[int], r: int) -> int:
+        """(lam, beta) for the r-th positive root: sum_i lam_i beta_i d_i."""
+        beta = self.root_system.positive_roots[r]
+        return sum(x * c * di for x, c, di in zip(lam, beta, self.d))
+
+    def coroot_pairing(self, lam: Sequence[int], r: int) -> int:
+        """<lam, beta^vee> for the r-th positive root."""
+        return sum(x * c for x, c in zip(lam, self.coroots[r]))
+
+
+@lru_cache(maxsize=None)
+def geometry(datum: CartanDatum) -> RootGeometry:
+    """The datum's root and weight geometry, built once per process."""
+    return RootGeometry(datum)
+
+
 def root_norm2(datum: CartanDatum, beta: tuple[int, ...]) -> Fraction:
     """(beta, beta) in the normalisation with short roots of squared length 2."""
-    d = symmetrizer(datum.cartan_matrix)
-    a = datum.cartan_matrix
-    n = datum.rank
-    total = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            total += beta[i] * beta[j] * d[i] * a[i][j]
-    return total
+    return Fraction(geometry(datum).root_norm2(beta))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cartan import CartanDatum, RootSystem, build_root_system, symmetrizer
+from .cartan import CartanDatum, RootSystem, geometry, root_height
 from .linalg import rref_dense
 
 
@@ -35,22 +35,14 @@ Root = tuple[int, ...]
 BracketValue = tuple[tuple[int, int], ...]
 
 
-def _root_key(beta: Root) -> tuple[int, Root]:
-    return (sum(beta), beta)
-
-
 class _ConstantTable:
     """N(x, y) for all root pairs, built by height induction."""
 
     def __init__(self, rs: RootSystem):
-        self.rs = rs
-        datum = rs.datum
-        self.cartan = datum.cartan_matrix
-        self.d = symmetrizer(self.cartan)
-        self.pos = list(rs.positive_roots)
+        self.pos = rs.positive_roots
         self.pos_index = {b: i for i, b in enumerate(self.pos)}
         self.phi: set[Root] = set(self.pos) | {self._neg(b) for b in self.pos}
-        self.norm2 = {b: self._norm2(b) for b in self.phi}
+        self.norm2 = dict(zip(self.pos, geometry(rs.datum).norm2))
         self.special: dict[tuple[Root, Root], int] = {}
         self._build()
 
@@ -65,17 +57,6 @@ class _ConstantTable:
     @staticmethod
     def _sub(x: Root, y: Root) -> Root:
         return tuple(a - b for a, b in zip(x, y))
-
-    def _norm2(self, b: Root) -> Fraction:
-        n = len(b)
-        total = Fraction(0)
-        for i in range(n):
-            if b[i] == 0:
-                continue
-            for j in range(n):
-                if b[j]:
-                    total += b[i] * b[j] * self.d[i] * self.cartan[i][j]
-        return total
 
     @staticmethod
     def _is_positive(b: Root) -> bool:
@@ -101,7 +82,7 @@ class _ConstantTable:
         xpos = self._is_positive(x)
         ypos = self._is_positive(y)
         if xpos and ypos:
-            if _root_key(x) < _root_key(y):
+            if self.pos_index[x] < self.pos_index[y]:
                 return self.special[(x, y)]
             return -self.special[(y, x)]
         if not xpos and not ypos:
@@ -120,20 +101,18 @@ class _ConstantTable:
         return int(val)
 
     def _build(self) -> None:
-        ordered = sorted(self.pos, key=_root_key)
-        for gamma in ordered:
-            if sum(gamma) < 2:
+        # Positive roots come in (height, lex) order, so comparing positions
+        # compares roots, and the pairs below are found in increasing order.
+        for g, gamma in enumerate(self.pos):
+            if root_height(gamma) < 2:
                 continue
             pairs = []
-            for delta in ordered:
-                if _root_key(delta) >= _root_key(gamma):
-                    break
+            for j, delta in enumerate(self.pos[:g]):
                 eta = self._sub(gamma, delta)
-                if eta in self.pos_index and _root_key(delta) < _root_key(eta):
+                if self.pos_index.get(eta, -1) > j:
                     pairs.append((delta, eta))
             if not pairs:
                 raise ChevalleyError(f"no special pair found for root {gamma}")
-            pairs.sort(key=lambda p: _root_key(p[0]))
             alpha, beta = pairs[0]
             self.special[(alpha, beta)] = self.string_down(alpha, beta) + 1
             for delta, eta in pairs[1:]:
@@ -293,27 +272,15 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
     """Build the full bracket table for the root system's algebra."""
     datum = rs.datum
     rank = datum.rank
-    pos = sorted(rs.positive_roots, key=_root_key)
+    geo = geometry(datum)
+    pos = rs.positive_roots
+    if pos != geo.root_system.positive_roots:
+        raise ChevalleyError("positive roots are not in the (height, lex) order")
     n_pos = len(pos)
     dim = rank + 2 * n_pos
     consts = _ConstantTable(rs)
-    d = consts.d
-    cartan = datum.cartan_matrix
 
-    def pairing(beta: Root, i: int) -> int:
-        return sum(c * cartan[i][j] for j, c in enumerate(beta))
-
-    def coroot_coeffs(beta: Root) -> list[int]:
-        dbeta = consts.norm2[beta] / 2
-        out = []
-        for i in range(rank):
-            v = Fraction(beta[i]) * d[i] / dbeta
-            if v.denominator != 1:
-                raise ChevalleyError(f"non-integral coroot for {beta}")
-            out.append(int(v))
-        return out
-
-    pos_index = {b: r for r, b in enumerate(pos)}
+    pos_index = consts.pos_index
     e_of = lambda r: rank + r
     f_of = lambda r: rank + n_pos + r
 
@@ -328,13 +295,13 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
         rows[b][a] = tuple((c, -v) for c, v in entries)
 
     for i in range(rank):
-        for r, beta in enumerate(pos):
-            p = pairing(beta, i)
+        for r, labels in enumerate(geo.labels):
+            p = labels[i]
             if p:
                 put(i, e_of(r), [(e_of(r), p)])
                 put(i, f_of(r), [(f_of(r), -p)])
-    for r, beta in enumerate(pos):
-        put(e_of(r), f_of(r), [(i, c) for i, c in enumerate(coroot_coeffs(beta))])
+    for r, coroot in enumerate(geo.coroots):
+        put(e_of(r), f_of(r), list(enumerate(coroot)))
     neg = consts._neg
     add = consts._add
     for r, br in enumerate(pos):
@@ -364,8 +331,8 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
     )
     weights = (
         tuple(tuple(0 for _ in range(rank)) for _ in range(rank))
-        + tuple(tuple(pairing(b, i) for i in range(rank)) for b in pos)
-        + tuple(tuple(-pairing(b, i) for i in range(rank)) for b in pos)
+        + geo.labels
+        + tuple(tuple(-p for p in labels) for labels in geo.labels)
     )
 
     killing = _killing_from_table(dim, rows)
@@ -373,7 +340,7 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
 
     table = LieAlgebraTable(
         datum=datum,
-        root_system=RootSystem(datum, rs.simple_roots, tuple(pos), rs.root_count),
+        root_system=rs,
         dim=dim,
         basis_labels=labels,
         bracket_rows=tuple(rows),
@@ -391,7 +358,7 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
 def algebra(label: str, verify: bool = True) -> LieAlgebraTable:
     """Build (and cache) the algebra for a label like ``A1`` or ``E7``."""
     datum = CartanDatum.from_label(label)
-    return build_chevalley_basis(build_root_system(datum), verify=verify)
+    return build_chevalley_basis(geometry(datum).root_system, verify=verify)
 
 
 def killing_determinant_sign(table: LieAlgebraTable) -> int:

@@ -328,6 +328,13 @@ def tension(label: str, h11: int, kernel_dim: int | None, out_path: str | None) 
     write_report(build_report(manifest, rep.as_dict()), out_path)
 
 
+def _config_section(cfg: dict, key: str, default: dict) -> dict:
+    section = cfg.get(key, default)
+    if not isinstance(section, dict):
+        raise click.UsageError(f"config field {key!r} must be a JSON object")
+    return section
+
+
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "trace_path", type=click.Path(writable=True), default=None,
@@ -336,41 +343,48 @@ def tension(label: str, h11: int, kernel_dim: int | None, out_path: str | None) 
               help="Write the JSON report here instead of stdout.")
 def varsolve(config_path: str, trace_path: str | None, json_path: str | None) -> None:
     """Minimize the penalized energy for a configured lattice instance."""
-    with open(config_path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    label = cfg.get("algebra", "A1")
+    try:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except ValueError as exc:
+        raise click.UsageError(f"config {config_path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise click.UsageError(f"config {config_path} must hold a JSON object")
+    label = str(cfg.get("algebra", "A1"))
     alg = _load_algebra(label)
-    lattice = cfg.get("lattice", {})
-    d = int(lattice.get("d", 2))
-    n = int(lattice.get("n", 4))
-    seed = int(cfg.get("seed", 0))
-    wcfg = cfg.get("weights", {})
-    weights = Weights(
-        alpha1=float(wcfg.get("alpha1", 1.0)),
-        alpha2=float(wcfg.get("alpha2", 0.0)),
-        alpha3=float(wcfg.get("alpha3", 1.0)),
-        bound_c=float(wcfg.get("C", 1.0)),
-    )
-    scfg = cfg.get("solver", {})
-    solver = SolverConfig(
-        step=float(scfg.get("step", 0.1)),
-        max_iters=int(scfg.get("max_iters", 2000)),
-        tol=float(scfg.get("tol", 1e-8)),
-    )
-    omega_cfg = cfg.get("omega", {"mode": "random", "scale": 0.3})
-    if omega_cfg.get("mode") == "zero":
+    lattice = _config_section(cfg, "lattice", {})
+    wcfg = _config_section(cfg, "weights", {})
+    scfg = _config_section(cfg, "solver", {})
+    omega_cfg = _config_section(cfg, "omega", {"mode": "random", "scale": 0.3})
+    zero_omega = omega_cfg.get("mode") == "zero"
+    try:
+        d = int(lattice.get("d", 2))
+        n = int(lattice.get("n", 4))
+        seed = int(cfg.get("seed", 0))
+        weights = Weights(
+            alpha1=float(wcfg.get("alpha1", 1.0)),
+            alpha2=float(wcfg.get("alpha2", 0.0)),
+            alpha3=float(wcfg.get("alpha3", 1.0)),
+            bound_c=float(wcfg.get("C", 1.0)),
+        )
+        solver = SolverConfig(
+            step=float(scfg.get("step", 0.1)),
+            max_iters=int(scfg.get("max_iters", 2000)),
+            tol=float(scfg.get("tol", 1e-8)),
+        )
+        lam_scale = float(cfg.get("lambda_scale", 0.5))
+        omega_scale = float(omega_cfg.get("scale", 0.3))
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"config {config_path} has a non-numeric field: {exc}") from exc
+    if zero_omega:
         bundle = LatticeBundle(d, n, alg)
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        config0 = FieldConfig(
-            float(cfg.get("lambda_scale", 0.5)) * rng.standard_normal((bundle.n_nodes, alg.dim))
-        )
+        config0 = FieldConfig(lam_scale * rng.standard_normal((bundle.n_nodes, alg.dim)))
     else:
         bundle, config0 = random_bundle_and_config(
-            alg, d, n, seed,
-            omega_scale=float(omega_cfg.get("scale", 0.3)),
-            lam_scale=float(cfg.get("lambda_scale", 0.5)),
+            alg, d, n, seed, omega_scale=omega_scale, lam_scale=lam_scale
         )
     final, trace = minimize(bundle, config0, weights, solver)
     certs = certify_compatible_pair(bundle, final)

@@ -283,12 +283,6 @@ class SpencerMatrix:
                     best = abs(v)
         return best
 
-    def column_element(self, j: int, row_basis: list[tuple[int, ...]]) -> SymElement:
-        out = SymElement.zero(self.k_to, self.dim)
-        for r, v in self.cols[j]:
-            out.add_term(row_basis[r], v)
-        return out
-
     def add(self, other: "SpencerMatrix") -> "SpencerMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
@@ -385,15 +379,7 @@ def delta_classical(
     from itertools import combinations_with_replacement
 
     for mono in combinations_with_replacement(range(n), k):
-        img = SymElement.zero(k + 1, n)
-        for j in range(k):
-            rest = mono[:j] + mono[j + 1 :]
-            for i in range(n):
-                ent = alg.bracket_basis(i, mono[j])
-                if not ent:
-                    continue
-                for c, coeff in ent:
-                    img.add_term(tuple(sorted(rest + (i, c))), Fraction(coeff))
+        img = classical_image(alg, SymElement.monomial(n, mono))
         cols.append(_element_to_col(img, n, k + 1))
     return SpencerMatrix("classical", None, k, k + 1, alg.label, n, nrows, ncols, cols)
 

@@ -65,14 +65,20 @@ def parse_lambda_spec(alg: LieAlgebraTable, spec: str) -> DualVector:
         path = spec[len("file:"):]
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError("dual vector file must hold a JSON list of entries")
         if len(data) != alg.dim:
             raise ValueError(
                 f"dual vector file has {len(data)} entries, algebra dim is {alg.dim}"
             )
-        try:
-            return tuple(Fraction(int(n), int(d)) for n, d in data)
-        except ZeroDivisionError as exc:
-            raise ValueError("dual vector file has an entry with denominator 0") from exc
+        for i, entry in enumerate(data):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(type(x) is int for x in entry)):
+                raise ValueError(f"dual vector file entry {i} is {json.dumps(entry)}; "
+                                 "expected [numerator, denominator] with integer values")
+            if entry[1] == 0:
+                raise ValueError("dual vector file has an entry with denominator 0")
+        return tuple(Fraction(n, d) for n, d in data)
     raise ValueError(f"cannot parse lambda spec {spec!r}")
 
 

@@ -6,26 +6,26 @@ on the monomial basis, so a subspace is weight-graded exactly when it is
 stable under them; the decomposition routines verify this instead of
 assuming it, and mark the output advisory when it fails.
 
-Irrep dimensions come from the Weyl dimension formula and inner weight
-multiplicities from the Freudenthal recursion, both over exact rationals.
+Irrep dimensions come from the Weyl dimension formula and dominant weight
+multiplicities from the Freudenthal recursion, both in exact integers over
+the datum's cached ``cartan.RootGeometry``.  A character is peeled into
+irreducible summands on its dominant weights only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .cartan import symmetrizer
+from .cartan import geometry
 from .chevalley import LieAlgebraTable
 from .kernels import KernelBasis
-from .linalg import Eliminator, rref_dense, span_rank
+from .linalg import Eliminator, span_rank
 from .sym import SymElement
 
 WeightVector = tuple[int, ...]
-
-
-def basis_weight(alg: LieAlgebraTable, index: int) -> WeightVector:
-    return alg.weights[index]
 
 
 def monomial_weight(alg: LieAlgebraTable, mono: tuple[int, ...]) -> WeightVector:
@@ -115,89 +115,14 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
 
 
 class WeightLattice:
-    """Exact inner products and Weyl moves in Dynkin-label coordinates."""
+    """Weyl moves in Dynkin-label coordinates, over the datum's cached geometry."""
 
     def __init__(self, alg: LieAlgebraTable):
-        self.alg = alg
         self.rank = alg.rank
-        cartan = alg.datum.cartan_matrix
-        self.cartan = cartan
-        self.d = symmetrizer(cartan)
-        # alpha_i in label coordinates is column i of the Cartan matrix.
-        self.simple_labels = [
-            tuple(cartan[j][i] for j in range(self.rank)) for i in range(self.rank)
-        ]
-        # Gram matrix of the fundamental weights: (A^-1 D) with D_i = d_i.
-        n = self.rank
-        red, _ = rref_dense([
-            [Fraction(cartan[i][j]) for j in range(n)]
-            + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)
-        ])
-        self.ainv = ainv = [row[n:] for row in red]
-        # (omega_i, omega_j) = sum_k Ainv[k][i] * d_k * A[k][l] * Ainv[l][j]
-        # reduces to Ainv[j][i] * d_j ... computed directly below.
-        self.gram = [
-            [
-                sum(
-                    ainv[k][i] * self.d[k] * cartan[k][l] * ainv[l][j]
-                    for k in range(n)
-                    for l in range(n)
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        self.rho = tuple(1 for _ in range(n))
-        # coroot coefficient table for positive roots, for the Weyl formula.
-        pos = alg.root_system.positive_roots
-        self.pos_coroots = []
-        for beta in pos:
-            norm2 = Fraction(0)
-            for i in range(n):
-                for j in range(n):
-                    norm2 += beta[i] * beta[j] * self.d[i] * cartan[i][j]
-            co = [Fraction(beta[i]) * self.d[i] / (norm2 / 2) for i in range(n)]
-            self.pos_coroots.append(tuple(co))
-        # positive roots in label coordinates, for Freudenthal sums.
-        self.pos_labels = [
-            tuple(
-                sum(beta[k] * cartan[j][k] for k in range(n)) for j in range(n)
-            )
-            for beta in pos
-        ]
-        self.pos_norm2 = [
-            sum(
-                beta[i] * beta[j] * self.d[i] * cartan[i][j]
-                for i in range(n)
-                for j in range(n)
-            )
-            for beta in pos
-        ]
+        self.geo = geometry(alg.datum)
 
-    def dot(self, lam: WeightVector, mu: WeightVector) -> Fraction:
-        total = Fraction(0)
-        for i in range(self.rank):
-            if lam[i]:
-                for j in range(self.rank):
-                    if mu[j]:
-                        total += lam[i] * mu[j] * self.gram[i][j]
-        return total
-
-    def dot_root(self, lam, pos_index: int) -> Fraction:
-        """(lam, beta) for the pos_index-th positive root, lam in labels."""
-        # (lam, beta) = sum_i lam_i (omega_i, beta); (omega_i, beta) = c_i(beta) d_i.
-        beta = self.alg.root_system.positive_roots[pos_index]
-        return sum(
-            Fraction(lam[i]) * beta[i] * self.d[i] for i in range(self.rank)
-        )
-
-    def pairing_coroot(self, lam, pos_index: int) -> Fraction:
-        """<lam, beta^vee> for lam in label coordinates."""
-        co = self.pos_coroots[pos_index]
-        return sum(Fraction(lam[i]) * co[i] for i in range(self.rank))
-
-    def is_dominant(self, lam) -> bool:
+    @staticmethod
+    def is_dominant(lam) -> bool:
         return all(x >= 0 for x in lam)
 
     def reflect(self, lam, i: int):
@@ -205,16 +130,14 @@ class WeightLattice:
         c = lam[i]
         if c == 0:
             return tuple(lam)
-        a_i = self.simple_labels[i]
+        a_i = self.geo.simple_labels[i]
         return tuple(lam[j] - c * a_i[j] for j in range(self.rank))
 
     def dominant_conjugate(self, lam) -> tuple:
         cur = tuple(lam)
-        while True:
-            i = next((j for j in range(self.rank) if cur[j] < 0), None)
-            if i is None:
-                return cur
+        while (i := next((j for j, x in enumerate(cur) if x < 0), None)) is not None:
             cur = self.reflect(cur, i)
+        return cur
 
     def weyl_orbit(self, lam) -> list[tuple]:
         seen = {tuple(lam)}
@@ -233,94 +156,81 @@ class WeightLattice:
 
 def weyl_dim(alg: LieAlgebraTable, highest_weight: WeightVector) -> int:
     """Weyl dimension formula, exact."""
-    lat = WeightLattice(alg)
+    geo = geometry(alg.datum)
     if len(highest_weight) != alg.rank:
         raise ValueError("highest weight length must equal the rank")
-    if not lat.is_dominant(highest_weight):
+    if not WeightLattice.is_dominant(highest_weight):
         raise ValueError(f"weight {highest_weight} is not dominant")
-    num = Fraction(1)
-    den = Fraction(1)
-    lam_rho = tuple(highest_weight[i] + 1 for i in range(alg.rank))
-    for r in range(len(lat.pos_coroots)):
-        num *= lat.pairing_coroot(lam_rho, r)
-        den *= lat.pairing_coroot(lat.rho, r)
-    out = num / den
-    if out.denominator != 1:
-        raise RuntimeError(f"non-integer Weyl dimension for {highest_weight}: {out}")
-    return int(out)
+    lam_rho, rho = tuple(x + 1 for x in highest_weight), (1,) * alg.rank
+    num = prod(geo.coroot_pairing(lam_rho, r) for r in range(len(geo.coroots)))
+    den = prod(geo.coroot_pairing(rho, r) for r in range(len(geo.coroots)))
+    if num % den:
+        raise RuntimeError(
+            f"non-integer Weyl dimension for {highest_weight}: {Fraction(num, den)}"
+        )
+    return num // den
 
 
 def freudenthal_multiplicities(
     alg: LieAlgebraTable, highest_weight: WeightVector
 ) -> dict[WeightVector, int]:
-    """Multiplicities of the dominant weights of the irrep, by recursion."""
+    """Multiplicities of the dominant weights of the irrep, by recursion.
+
+    Inner products and heights are det(A) times their true values (see
+    ``RootGeometry``), so the recursion runs on integers.
+    """
     lat = WeightLattice(alg)
+    geo = lat.geo
     lam = tuple(highest_weight)
     if not lat.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
     rank = alg.rank
-    rho = lat.rho
-    lam_rho = tuple(lam[i] + rho[i] for i in range(rank))
-    c_top = lat.dot(lam_rho, lam_rho)
 
-    # Enumerate dominant weights mu <= lam by walking down simple roots.
-    dominant: set[WeightVector] = set()
-    seen: set[WeightVector] = {lam}
+    def norm_rho(mu: WeightVector) -> int:
+        """det(A) (mu + rho, mu + rho)."""
+        mu_rho = tuple(x + 1 for x in mu)
+        return geo.dot(mu_rho, mu_rho)
+
+    c_top = norm_rho(lam)
+
+    # The dominant weights below lam, each reached from lam through dominant
+    # weights by subtracting positive roots (Stembridge, "The partial order
+    # of dominant weights", 1998).
+    dominant = {lam}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            if lat.is_dominant(mu):
-                dominant.add(mu)
-            for labels in lat.simple_labels:
-                cand = tuple(mu[i] - labels[i] for i in range(rank))
-                if cand in seen:
-                    continue
-                dom = lat.dominant_conjugate(cand)
-                cand_rho = tuple(dom[i] + rho[i] for i in range(rank))
-                if lat.dot(cand_rho, cand_rho) <= c_top:
-                    seen.add(cand)
+            for beta_labels in geo.labels:
+                cand = tuple(m - b for m, b in zip(mu, beta_labels))
+                if cand not in dominant and lat.is_dominant(cand):
+                    dominant.add(cand)
                     nxt.append(cand)
         frontier = nxt
 
-    def level(mu: WeightVector) -> Fraction:
-        diff = tuple(lam[i] - mu[i] for i in range(rank))
-        coords = [
-            sum(lat.ainv[k][i] * diff[i] for i in range(rank)) for k in range(rank)
-        ]
-        return sum(coords, Fraction(0))
-
-    ordered = sorted(dominant, key=lambda mu: (level(mu), mu))
     mult: dict[WeightVector, int] = {}
-    for mu in ordered:
+    for mu in sorted(dominant, key=lambda mu: (-geo.height(mu), mu)):
         if mu == lam:
             mult[mu] = 1
             continue
-        lv = level(mu)
-        if lv.denominator != 1 or lv < 0:
-            continue  # not in the root-lattice cone below lam
-        mu_rho = tuple(mu[i] + rho[i] for i in range(rank))
-        denom = c_top - lat.dot(mu_rho, mu_rho)
-        if denom == 0:
-            continue
-        total = Fraction(0)
-        for r, beta_labels in enumerate(lat.pos_labels):
+        denom = c_top - norm_rho(mu)
+        total = 0
+        for r, beta_labels in enumerate(geo.labels):
             k = 1
             while True:
                 nu = tuple(mu[i] + k * beta_labels[i] for i in range(rank))
                 nu_dom = lat.dominant_conjugate(nu)
-                m_nu = mult.get(nu_dom, 0)
-                nu_rho = tuple(nu_dom[i] + rho[i] for i in range(rank))
-                if lat.dot(nu_rho, nu_rho) > c_top:
+                if norm_rho(nu_dom) > c_top:
                     break
+                m_nu = mult.get(nu_dom, 0)
                 if m_nu:
-                    total += m_nu * (lat.dot_root(mu, r) + k * lat.pos_norm2[r])
+                    total += m_nu * (geo.dot_root(mu, r) + k * geo.norm2[r])
                 k += 1
-        value = 2 * total / denom
-        if value.denominator != 1:
-            raise RuntimeError(f"non-integer multiplicity at {mu}: {value}")
-        if value > 0:
-            mult[mu] = int(value)
+        num = 2 * total * geo.det
+        if num % denom:
+            raise RuntimeError(f"non-integer multiplicity at {mu}: {Fraction(num, denom)}")
+        if num // denom > 0:
+            mult[mu] = num // denom
     return mult
 
 
@@ -354,12 +264,17 @@ class IrrepSummand:
 def decompose_character(
     alg: LieAlgebraTable, weights: dict[WeightVector, int] | list[WeightVector]
 ) -> list[IrrepSummand]:
-    """Greedy highest-weight peeling of a Weyl-symmetric weight multiset."""
+    """Greedy highest-weight peeling of a Weyl-symmetric weight multiset.
+
+    After the symmetry check only the dominant weights are kept: a weight of
+    maximal height in a Weyl-symmetric multiset is dominant, and every
+    remainder stays Weyl-symmetric, so subtracting the dominant part of each
+    irreducible character (its Freudenthal multiplicities) peels the same
+    summands as subtracting the whole character.
+    """
     lat = WeightLattice(alg)
     if isinstance(weights, list):
-        counts: dict[WeightVector, int] = {}
-        for w in weights:
-            counts[tuple(w)] = counts.get(tuple(w), 0) + 1
+        counts = dict(Counter(map(tuple, weights)))
     else:
         counts = {tuple(k): v for k, v in weights.items() if v}
     for w, m in list(counts.items()):
@@ -369,26 +284,17 @@ def decompose_character(
                 raise ValueError(
                     f"weight multiset is not Weyl-symmetric at {w} vs {r}"
                 )
-
-    def height_key(w: WeightVector):
-        coords = [
-            sum(lat.ainv[k][i] * w[i] for i in range(alg.rank))
-            for k in range(alg.rank)
-        ]
-        return (sum(coords, Fraction(0)), w)
+    counts = {w: m for w, m in counts.items() if lat.is_dominant(w)}
 
     summands: list[IrrepSummand] = []
     while counts:
-        top = max(counts, key=height_key)
+        top = max(counts, key=lambda w: (lat.geo.height(w), w))
         mult = counts[top]
-        if not lat.is_dominant(top):
-            raise ValueError(f"maximal weight {top} is not dominant; not a character")
         if mult < 0:
             raise ValueError(
                 f"negative multiplicity {mult} at {top}; input was not a module character"
             )
-        char = irrep_weight_multiset(alg, top)
-        for w, m in char.items():
+        for w, m in freudenthal_multiplicities(alg, top).items():
             new = counts.get(w, 0) - mult * m
             if new:
                 counts[w] = new

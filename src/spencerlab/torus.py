@@ -218,7 +218,6 @@ def degenerate_cohomology(
         z = complex_.n_cells(p) * kappa - (ranks[p] if p < d else 0)
         b = ranks[p - 1] if p >= 1 else 0
         dims.append(z - b)
-    euler = sum((-1) ** p * dims[p] for p in range(d + 1))
     holds = all(dims[p] == betti[p] * kappa for p in range(d + 1))
     if not holds:
         raise RuntimeError(
@@ -233,7 +232,7 @@ def degenerate_cohomology(
         kernel_dim=kappa,
         betti=betti,
         degenerate_dims=dims,
-        euler_characteristic=euler,
+        euler_characteristic=euler_characteristic(dims),
         product_identity_holds=holds,
     )
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from spencerlab.cartan import (
     CartanDatum,
     CartanError,
     build_root_system,
+    geometry,
     root_height,
     root_norm2,
     standard_cartan_matrix,
@@ -83,3 +86,53 @@ def test_root_norms_two_lengths_g2():
     rs = build_root_system(datum)
     norms = {root_norm2(datum, b) for b in rs.positive_roots}
     assert norms == {2, 6}
+
+
+GEOMETRY_LABELS = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
+    "E6", "E7", "E8", "F4", "G2",
+)
+
+
+@pytest.mark.parametrize("label", GEOMETRY_LABELS)
+def test_geometry_table(label):
+    from spencerlab.linalg import rref_dense
+
+    datum = CartanDatum.from_label(label)
+    geo = geometry(datum)
+    assert geometry(CartanDatum.from_label(label)) is geo
+    a = datum.cartan_matrix
+    n = datum.rank
+    # d_i A_ij is symmetric and integral
+    assert all(type(x) is int for x in geo.d)
+    assert all(geo.d[i] * a[i][j] == geo.d[j] * a[j][i] for i in range(n) for j in range(n))
+    # squared lengths and coroots are integers agreeing with their definitions
+    for beta, nb, co, labels in zip(
+        geo.root_system.positive_roots, geo.norm2, geo.coroots, geo.labels
+    ):
+        assert nb == sum(beta[i] * beta[j] * geo.d[i] * a[i][j] for i in range(n) for j in range(n))
+        assert all(type(c) is int for c in co)
+        assert list(co) == [Fraction(2 * beta[i] * geo.d[i], nb) for i in range(n)]
+        assert list(labels) == [sum(a[i][j] * beta[j] for j in range(n)) for i in range(n)]
+    # (det A A^-1) A = det A I, with det A the index of the root lattice
+    det = {"A": n + 1, "B": 2, "C": 2, "D": 4, "E": 9 - n, "F": 1, "G": 1}[label[0]]
+    assert geo.det == det
+    assert all(
+        sum(geo.adj[i][k] * a[k][j] for k in range(n)) == geo.det * (i == j)
+        for i in range(n)
+        for j in range(n)
+    )
+    # the Gram matrix of the fundamental weights equals the O(n^4) definition
+    red, _ = rref_dense(
+        [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    )
+    ainv = [row[n:] for row in red]
+    for i in range(n):
+        for j in range(n):
+            old = sum(
+                ainv[k][i] * geo.d[k] * a[k][l] * ainv[l][j]
+                for k in range(n)
+                for l in range(n)
+            )
+            assert Fraction(geo.gram[i][j], geo.det) == old

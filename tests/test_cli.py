@@ -129,6 +129,15 @@ def test_kernel_lambda_zero_denominator_exits_2(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("entry", [[1.5, 2], [None, 1], [True, 1], [1, 2, 3], "1/2"])
+def test_kernel_lambda_non_integer_entry_exits_2(runner, tmp_path, entry):
+    spec = _lambda_file(tmp_path, [entry] + [[0, 1]] * 7)
+    result = runner.invoke(main, ["kernel", "--algebra", "A2", "--k", "1", "--lambda", spec])
+    assert result.exit_code == 2, result.output
+    assert "Error: dual vector file entry 0 is" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_kernel_skips_prime_dividing_lambda_denominator(runner, tmp_path):
     entries = [[0, 1]] * 8
     entries[3] = [1, PRIME_POOL[0]]
@@ -231,6 +240,26 @@ def test_varsolve_command(runner, tmp_path):
     lines = trace_path.read_text().strip().splitlines()
     assert lines[0].startswith("iteration,total,main,pen1,pen3")
     assert len(lines) == rep["body"]["iterations"] + 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"seed": "x"}', "non-numeric field"),
+        ('{"solver": {"max_iters": null}}', "non-numeric field"),
+        ('{"seed": 1', "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"lattice": 3}', "'lattice' must be a JSON object"),
+        ('{"algebra": 7}', "cannot parse algebra label '7'"),
+    ],
+)
+def test_varsolve_bad_config_exits_2(runner, tmp_path, text, message):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    result = runner.invoke(main, ["varsolve", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
 
 
 def test_report_bodies_deterministic(runner, tmp_path):

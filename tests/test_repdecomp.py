@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from spencerlab.chevalley import algebra
 from spencerlab.kernels import kernel_of_constrained
+from spencerlab.linalg import rref_dense
 from spencerlab.presets import cartan_dual, random_dual, zero_dual
 from spencerlab.repdecomp import (
     WeightLattice,
@@ -174,3 +176,74 @@ def test_dominant_conjugate_and_orbit(g2):
         assert lat.is_dominant(dom)
         assert dom in lat.weyl_orbit(w)
     assert len(lat.weyl_orbit((1, 0))) == 6  # short-root orbit in the hexagon
+
+
+def full_orbit_peel(alg, counts):
+    """Reference peel: subtract whole Weyl-orbit characters from every weight."""
+    lat = WeightLattice(alg)
+    n = alg.rank
+    a = alg.datum.cartan_matrix
+    red, _ = rref_dense(
+        [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    )
+    ainv = [row[n:] for row in red]
+    counts = {tuple(k): v for k, v in counts.items() if v}
+    for w, m in list(counts.items()):
+        for i in range(n):
+            r = lat.reflect(w, i)
+            if counts.get(r, 0) != m:
+                raise ValueError(f"weight multiset is not Weyl-symmetric at {w} vs {r}")
+
+    def height_key(w):
+        return (sum(ainv[k][i] * w[i] for k in range(n) for i in range(n)), w)
+
+    summands = []
+    while counts:
+        top = max(counts, key=height_key)
+        mult = counts[top]
+        if not lat.is_dominant(top):
+            raise ValueError(f"maximal weight {top} is not dominant; not a character")
+        if mult < 0:
+            raise ValueError(
+                f"negative multiplicity {mult} at {top}; input was not a module character"
+            )
+        for w, m in irrep_weight_multiset(alg, top).items():
+            new = counts.get(w, 0) - mult * m
+            if new:
+                counts[w] = new
+            else:
+                counts.pop(w, None)
+        summands.append((top, weyl_dim(alg, top), mult))
+    return summands
+
+
+def _outcome(peel, alg, counts):
+    try:
+        return [tuple(s) for s in peel(alg, counts)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "B3", "C3", "G2"])
+def test_dominant_peel_matches_full_orbit_peel(label):
+    alg = algebra(label)
+    rng = random.Random(f"peel-{label}")
+    small = [w for w in product(range(3), repeat=alg.rank) if sum(w) <= 2]
+    outcomes = set()
+    for _ in range(12):
+        total: dict = {}
+        for hw in rng.sample(small, rng.randint(1, 3)):
+            coeff = rng.choice([-1, 1, 1, 2])
+            for w, m in irrep_weight_multiset(alg, hw).items():
+                total[w] = total.get(w, 0) + coeff * m
+        expected = _outcome(full_orbit_peel, alg, total)
+        got = _outcome(
+            lambda *args: [
+                (s.highest_weight, s.dim, s.multiplicity) for s in decompose_character(*args)
+            ],
+            alg,
+            total,
+        )
+        assert got == expected
+        outcomes.add(isinstance(expected, str))
+    assert outcomes == {True, False}  # both peeled summands and error messages compared
