@@ -335,6 +335,16 @@ def _config_section(cfg: dict, key: str, default: dict) -> dict:
     return section
 
 
+def _config_int(section: dict, key: str, default: int, config_path: str) -> int:
+    """An integer config field; a float, bool, string or null exits 2."""
+    value = section.get(key, default)
+    if type(value) is int:
+        return value
+    kind = "non-integer" if isinstance(value, float) else "non-numeric"
+    raise click.UsageError(f"config {config_path} has a {kind} field {key!r}: "
+                           f"{json.dumps(value)}; expected a JSON integer")
+
+
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "trace_path", type=click.Path(writable=True), default=None,
@@ -357,10 +367,11 @@ def varsolve(config_path: str, trace_path: str | None, json_path: str | None) ->
     scfg = _config_section(cfg, "solver", {})
     omega_cfg = _config_section(cfg, "omega", {"mode": "random", "scale": 0.3})
     zero_omega = omega_cfg.get("mode") == "zero"
+    d = _config_int(lattice, "d", 2, config_path)
+    n = _config_int(lattice, "n", 4, config_path)
+    seed = _config_int(cfg, "seed", 0, config_path)
+    max_iters = _config_int(scfg, "max_iters", 2000, config_path)
     try:
-        d = int(lattice.get("d", 2))
-        n = int(lattice.get("n", 4))
-        seed = int(cfg.get("seed", 0))
         weights = Weights(
             alpha1=float(wcfg.get("alpha1", 1.0)),
             alpha2=float(wcfg.get("alpha2", 0.0)),
@@ -369,7 +380,7 @@ def varsolve(config_path: str, trace_path: str | None, json_path: str | None) ->
         )
         solver = SolverConfig(
             step=float(scfg.get("step", 0.1)),
-            max_iters=int(scfg.get("max_iters", 2000)),
+            max_iters=max_iters,
             tol=float(scfg.get("tol", 1e-8)),
         )
         lam_scale = float(cfg.get("lambda_scale", 0.5))

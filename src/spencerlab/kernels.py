@@ -44,7 +44,7 @@ class KernelBasis:
 
 def kernel(mat: SpencerMatrix) -> tuple[KernelBasis, RankCertificate]:
     """Exact nullspace of a Spencer matrix with its rank certificate."""
-    vectors, cert = kernel_with_certificate(mat.cols, mat.nrows, mat.ncols)
+    vectors, cert = kernel_with_certificate(mat.cols, mat.nrows, mat.ncols, mat.denominator)
     col_basis = enumerate_basis(mat.dim, mat.k_from)
     basis = []
     for vec in vectors:

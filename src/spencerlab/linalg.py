@@ -8,14 +8,20 @@ stored normalised with its lead entry removed.  Optionally each pivot also
 records the combination of inserted vectors (by caller tag) that produced
 it, which yields kernels and exact solves.
 
-The kernel pipeline follows a two-tier strategy:
+The kernel pipeline takes a rational matrix as integer columns plus one
+positive denominator D (the matrix is the columns divided by D, and D is
+the lcm of the reduced entry denominators), and follows a two-tier
+strategy:
 
 * small matrices are eliminated exactly at once;
 * large ones get a rank estimate modulo at least three word-size primes
   (dense elimination up to ``DENSE_MODP_LIMIT`` entries, sparse above;
-  primes dividing a denominator of the matrix are skipped; retried with
-  fresh primes on disagreement), followed by an exact elimination pass that
-  both produces the kernel basis and confirms the modular rank.
+  entries are reduced as ``v % p``, since for p not dividing D the rank of
+  the integer columns mod p is that of the matrix; primes dividing D are
+  skipped; retried with fresh primes on disagreement), followed by an exact
+  elimination pass over the integer columns that both produces the kernel
+  basis and confirms the modular rank.  Scaling every column by D leaves
+  the free-variable kernel basis unchanged.
 
 Either way every returned kernel vector is re-multiplied through the matrix
 and checked against zero before the result is handed back.  ``rref_dense``
@@ -62,7 +68,9 @@ class RankCertificate:
         }
 
 
-SparseCol = list[tuple[int, Fraction]]
+# Sparse column as sorted (row, value) pairs; Fraction values on the exact
+# paths, integer values on the modular path and in operator matrices.
+SparseCol = list[tuple[int, int | Fraction]]
 
 
 def _sub_scaled(dst: dict, factor, src: dict, p: int | None) -> None:
@@ -191,7 +199,7 @@ def _columns_mod_p(cols: Sequence[SparseCol], p: int):
     for col in cols:
         d: dict[int, int] = {}
         for r, v in col:
-            val = (v.numerator * pow(v.denominator, -1, p)) % p
+            val = v % p
             if val:
                 d[r] = val
         yield d
@@ -201,13 +209,13 @@ DENSE_MODP_LIMIT = 4_000_000
 
 
 def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -> int:
-    """Vectorised row-echelon rank mod p on the transpose (columns as rows)."""
+    """Vectorised row-echelon rank mod p of integer columns, on the transpose."""
     import numpy as np
 
     a = np.zeros((ncols, nrows), dtype=np.int64)
     for j, col in enumerate(cols):
         for r, v in col:
-            a[j, r] = (v.numerator * pow(v.denominator, -1, p)) % p
+            a[j, r] = v % p
     rank = 0
     for c in range(nrows):
         if rank == ncols:
@@ -229,7 +237,7 @@ def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -
 
 
 def sparse_rank_modp(cols: Sequence[SparseCol], p: int) -> int:
-    """Rank modulo p via sparse elimination over the column vectors."""
+    """Rank modulo p of integer columns via sparse elimination."""
     return Eliminator(_columns_mod_p(cols, p), p=p).rank
 
 
@@ -269,17 +277,16 @@ def verify_kernel_vectors(
     return True
 
 
-def _usable_primes(cols: Sequence[SparseCol]) -> list[int]:
-    """Pool primes, in pool order, that divide no denominator of the matrix."""
-    dens = {v.denominator for col in cols for _, v in col}
-    dens.discard(1)
-    return [p for p in PRIME_POOL if all(d % p for d in dens)]
-
-
 def kernel_with_certificate(
-    cols: Sequence[SparseCol], nrows: int, ncols: int
+    cols: Sequence[SparseCol], nrows: int, ncols: int, denominator: int = 1
 ) -> tuple[list[dict[int, Fraction]], RankCertificate]:
-    """Kernel basis plus the rank certificate described in the module docs."""
+    """Kernel basis plus the rank certificate described in the module docs.
+
+    ``cols`` holds integers and the matrix is cols / denominator, with the
+    denominator the lcm of the reduced entry denominators.  Scaling by it
+    changes neither the kernel nor, for a prime not dividing it, the rank
+    mod p.
+    """
     if nrows * ncols <= DENSE_ENTRY_LIMIT:
         vectors, rank = sparse_kernel_exact(cols, ncols)
         if not verify_kernel_vectors(cols, vectors):
@@ -287,7 +294,7 @@ def kernel_with_certificate(
         # "dense-exact" names the small-matrix tier in the report format.
         return vectors, RankCertificate([], [], True, "dense-exact", rank)
 
-    pool = _usable_primes(cols)
+    pool = [p for p in PRIME_POOL if denominator % p]
     use_dense_modp = nrows * ncols <= DENSE_MODP_LIMIT
     for attempt in range(4):
         primes = pool[attempt * 3 : attempt * 3 + 3]

@@ -14,36 +14,31 @@ plus half commutator formula) is kept as an independent second route and is
 never substituted for the primary one; agreement between the two is a test
 obligation, not an assumption.  Likewise the nilpotency audit reports the
 composite of consecutive operators exactly as measured.
+
+Assembly runs in integers.  With lam = lam_num / d_lam and K^{-1} =
+K_num / d_K over the lcms of their denominators, either generator form is
+an integer form over 2 * d_lam, so every generator image is an integer
+Sym^2 table over one common scale, a divisor of 2 * d_lam * d_K^2
+(``GeneratorImages``).  The Leibniz recursion runs on those tables and a
+matrix keeps integer columns plus one positive denominator: the scale with
+the gcd of it and every entry divided out.  Fractions are rebuilt only at
+the boundaries: single-element evaluation, reports and Matrix Market.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd, lcm
+from operator import getitem
 
 from .chevalley import LieAlgebraTable
 from .linalg import SparseCol, span_rank
-from .sym import (
-    DEFAULT_BASIS_CAP,
-    SymElement,
-    guard_sym_dim,
-    monomial_rank,
-    mul_monomial,
-)
+from .sym import DEFAULT_BASIS_CAP, SymElement, guard_sym_dim, rank_weights
 
 DualVector = tuple[Fraction, ...]
-
-_FRAC_POOL: dict[tuple[int, int], Fraction] = {}
-
-
-def _intern(v: Fraction) -> Fraction:
-    key = (v.numerator, v.denominator)
-    cached = _FRAC_POOL.get(key)
-    if cached is None:
-        if len(_FRAC_POOL) < 1_000_000:
-            _FRAC_POOL[key] = v
-        return v
-    return cached
+IntTerms = dict[tuple[int, ...], int]
 
 
 def check_dual_vector(alg: LieAlgebraTable, lam: DualVector) -> DualVector:
@@ -56,208 +51,236 @@ def neg_dual(lam: DualVector) -> DualVector:
     return tuple(-x for x in lam)
 
 
-def _lambda_ad_pairings(alg: LieAlgebraTable, lam: DualVector) -> list[list[tuple[int, Fraction]]]:
-    """For each basis index m, the list of (a, <lam, [x_a, x_m]>) entries."""
-    dim = alg.dim
-    by_m: list[list[tuple[int, Fraction]]] = [[] for _ in range(dim)]
-    for a in range(dim):
+def _scaled(values) -> tuple[list[int], int]:
+    """(d * x for x in values) as integers, with d the lcm of their denominators."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _content(scale: int, rows) -> int:
+    """gcd of scale and every integer in rows (iterables of ints)."""
+    g = scale
+    for row in rows:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    return g
+
+
+def _lambda_ad_pairings(alg: LieAlgebraTable, lam_num: list[int]) -> list[list[tuple[int, int]]]:
+    """For each basis index m, the list of (a, <lam_num, [x_a, x_m]>) entries."""
+    by_m: list[list[tuple[int, int]]] = [[] for _ in range(alg.dim)]
+    for a in range(alg.dim):
         for m, entries in alg.bracket_rows[a].items():
-            val = Fraction(0)
-            for c, coeff in entries:
-                if lam[c]:
-                    val += coeff * lam[c]
+            val = sum(coeff * lam_num[c] for c, coeff in entries)
             if val:
                 by_m[m].append((a, val))
     return by_m
 
 
-def _double_bracket_form(
-    alg: LieAlgebraTable, lam: DualVector, v: SymElement
+def _form(
+    alg: LieAlgebraTable, by_m: list[list[tuple[int, int]]], g: int, formula: str
+) -> dict[tuple[int, int], int]:
+    """2 * d_lam times the generator form of x_g, for lam = lam_num / d_lam.
+
+    With U[a, b] = <lam, [x_a, [x_b, x_g]]>:
+
+    * ``symmetrized``: (w1, w2) -> (1/2)(U[w1, w2] + U[w2, w1]);
+    * ``equivalent``:  (w1, w2) -> U[w2, w1] + (1/2)<lam, [[w1, w2], x_g]>.
+    """
+    u: dict[tuple[int, int], int] = {}
+    for b in range(alg.dim):
+        for m, coeff in alg.bracket_basis(b, g):
+            for a, pair_val in by_m[m]:
+                key = (a, b)
+                u[key] = u.get(key, 0) + coeff * pair_val
+    out: dict[tuple[int, int], int] = {}
+    if formula == "symmetrized":
+        for (i, j), val in u.items():
+            out[(i, j)] = out.get((i, j), 0) + val
+            out[(j, i)] = out.get((j, i), 0) + val
+    elif formula == "equivalent":
+        for (i, j), val in u.items():
+            out[(j, i)] = out.get((j, i), 0) + 2 * val
+        # <lam, [x_m, x_g]> for every m, for the commutator half-term.
+        pair_with_v = dict(by_m[g])
+        for a in range(alg.dim):
+            for b, entries in alg.bracket_rows[a].items():
+                val = sum(coeff * pair_with_v.get(m, 0) for m, coeff in entries)
+                if val:
+                    out[(a, b)] = out.get((a, b), 0) + val
+    else:
+        raise ValueError(f"unknown generator formula {formula!r}")
+    return {key: val for key, val in out.items() if val}
+
+
+def _fraction_form(
+    alg: LieAlgebraTable, lam: DualVector, v: SymElement, formula: str
 ) -> dict[tuple[int, int], Fraction]:
-    """U[a, b] = <lam, [x_a, [x_b, v]]> as a sparse dictionary."""
-    by_m = _lambda_ad_pairings(alg, lam)
-    u: dict[tuple[int, int], Fraction] = {}
+    """The generator form of a degree-1 element v, back in Fractions."""
+    if v.degree != 1:
+        raise ValueError(f"generator action needs a degree-1 element, got degree {v.degree}")
+    lam_num, d_lam = _scaled(check_dual_vector(alg, lam))
+    by_m = _lambda_ad_pairings(alg, lam_num)
+    out: dict[tuple[int, int], Fraction] = {}
     for (g,), vg in v.terms.items():
-        for b in range(alg.dim):
-            inner = alg.bracket_basis(b, g)
-            if not inner:
-                continue
-            for m, coeff in inner:
-                w = vg * coeff
-                for a, pair_val in by_m[m]:
-                    key = (a, b)
-                    newv = u.get(key, Fraction(0)) + w * pair_val
-                    if newv:
-                        u[key] = newv
-                    else:
-                        u.pop(key, None)
-    return u
+        for key, val in _form(alg, by_m, g, formula).items():
+            out[key] = out.get(key, 0) + vg * Fraction(val, 2 * d_lam)
+    return {key: val for key, val in out.items() if val}
 
 
 def generator_form(
     alg: LieAlgebraTable, lam: DualVector, v: SymElement
 ) -> dict[tuple[int, int], Fraction]:
     """Symmetric bilinear form (w1, w2) -> (1/2)(<lam,[w1,[w2,v]]> + <lam,[w2,[w1,v]]>)."""
-    if v.degree != 1:
-        raise ValueError(f"generator action needs a degree-1 element, got degree {v.degree}")
-    u = _double_bracket_form(alg, lam, v)
-    b: dict[tuple[int, int], Fraction] = {}
-    half = Fraction(1, 2)
-    for (i, j), val in u.items():
-        for key in ((i, j), (j, i)):
-            newv = b.get(key, Fraction(0)) + half * val
-            if newv:
-                b[key] = newv
-            else:
-                b.pop(key, None)
-    return b
+    return _fraction_form(alg, lam, v, "symmetrized")
 
 
 def generator_form_equivalent(
     alg: LieAlgebraTable, lam: DualVector, v: SymElement
 ) -> dict[tuple[int, int], Fraction]:
     """Second evaluator: (w1, w2) -> <lam,[w2,[w1,v]]> + (1/2)<lam,[[w1,w2],v]>."""
-    if v.degree != 1:
-        raise ValueError(f"generator action needs a degree-1 element, got degree {v.degree}")
-    u = _double_bracket_form(alg, lam, v)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), val in u.items():
-        key = (j, i)
-        newv = out.get(key, Fraction(0)) + val
-        if newv:
-            out[key] = newv
-        else:
-            out.pop(key, None)
-    # <lam, [x_m, v]> for every m, for the commutator half-term.
-    pair_with_v: dict[int, Fraction] = {}
-    for (g,), vg in v.terms.items():
-        for m in range(alg.dim):
-            ent = alg.bracket_basis(m, g)
-            if not ent:
-                continue
-            val = Fraction(0)
-            for c, coeff in ent:
-                if lam[c]:
-                    val += coeff * lam[c]
-            if val:
-                newv = pair_with_v.get(m, Fraction(0)) + vg * val
-                if newv:
-                    pair_with_v[m] = newv
-                else:
-                    pair_with_v.pop(m, None)
-    half = Fraction(1, 2)
-    for a in range(alg.dim):
-        for b_idx, entries in alg.bracket_rows[a].items():
-            val = Fraction(0)
-            for m, coeff in entries:
-                pm = pair_with_v.get(m)
-                if pm:
-                    val += coeff * pm
-            if val:
-                key = (a, b_idx)
-                newv = out.get(key, Fraction(0)) + half * val
-                if newv:
-                    out[key] = newv
-                else:
-                    out.pop(key, None)
-    return out
+    return _fraction_form(alg, lam, v, "equivalent")
 
 
-def _kinv_sparse_columns(alg: LieAlgebraTable) -> list[list[tuple[int, Fraction]]]:
-    cols: list[list[tuple[int, Fraction]]] = []
+def _kinv_columns(alg: LieAlgebraTable) -> tuple[list[list[tuple[int, int]]], int]:
+    """Sparse columns of d_K * K^{-1} in integers, and d_K."""
     kinv = alg.killing_inverse
-    for c in range(alg.dim):
-        col = [(r, kinv[r][c]) for r in range(alg.dim) if kinv[r][c]]
-        cols.append(col)
-    return cols
+    d_k = lcm(*(x.denominator for row in kinv for x in row))
+    cols = [
+        [(r, kinv[r][c].numerator * (d_k // kinv[r][c].denominator))
+         for r in range(alg.dim) if kinv[r][c]]
+        for c in range(alg.dim)
+    ]
+    return cols, d_k
 
 
-def form_to_sym2(
-    alg: LieAlgebraTable, form: dict[tuple[int, int], Fraction]
-) -> SymElement:
-    """Raise both slots of a bilinear form with the inverse Killing form."""
-    kinv_cols = _kinv_sparse_columns(alg)
-    out = SymElement.zero(2, alg.dim)
+def _form_to_sym2(kinv_cols: list[list[tuple[int, int]]], form: dict) -> IntTerms:
+    """Raise both slots of an integer bilinear form with the integer K^{-1} columns."""
+    out: IntTerms = {}
     for (c, d), val in form.items():
         for a, va in kinv_cols[c]:
+            left = va * val
             for b, vb in kinv_cols[d]:
                 mono = (a, b) if a <= b else (b, a)
-                out.add_term(mono, va * val * vb)
-    return out
+                out[mono] = out.get(mono, 0) + left * vb
+    return {mono: val for mono, val in out.items() if val}
 
 
-def delta_on_generator(alg: LieAlgebraTable, lam: DualVector, v: SymElement) -> SymElement:
-    """Generator action of the constraint-coupled operator, landed in Sym^2."""
-    lam = check_dual_vector(alg, lam)
-    return form_to_sym2(alg, generator_form(alg, lam, v))
+@dataclass(frozen=True)
+class GeneratorImages:
+    """The constraint-coupled operator on every basis generator, in integers.
 
+    Generator a goes to sum_m tables[a][m] / scale * m in Sym^2.  The common
+    scale is 2 * d_lam * d_K^2 with the gcd of it and every table entry
+    divided out.  Indexing returns an image as a ``SymElement`` with
+    Fraction coefficients.
+    """
 
-def delta_equivalent(alg: LieAlgebraTable, lam: DualVector, v: SymElement) -> SymElement:
-    """Generator action via the independent second formula."""
-    lam = check_dual_vector(alg, lam)
-    return form_to_sym2(alg, generator_form_equivalent(alg, lam, v))
+    dim: int
+    tables: tuple[IntTerms, ...]
+    scale: int
+
+    def __getitem__(self, a: int) -> SymElement:
+        terms = {mono: Fraction(v, self.scale) for mono, v in self.tables[a].items()}
+        return SymElement(2, self.dim, terms)
 
 
 def generator_images(
     alg: LieAlgebraTable, lam: DualVector, formula: str = "symmetrized"
-) -> list[SymElement]:
+) -> GeneratorImages:
     """delta applied to every basis generator."""
-    lam = check_dual_vector(alg, lam)
-    if formula == "symmetrized":
-        builder = generator_form
-    elif formula == "equivalent":
-        builder = generator_form_equivalent
-    else:
-        raise ValueError(f"unknown generator formula {formula!r}")
-    out = []
-    for a in range(alg.dim):
-        v = SymElement.basis_vector(alg.dim, a)
-        out.append(form_to_sym2(alg, builder(alg, lam, v)))
-    return out
+    lam_num, d_lam = _scaled(check_dual_vector(alg, lam))
+    by_m = _lambda_ad_pairings(alg, lam_num)
+    kinv_cols, d_k = _kinv_columns(alg)
+    tables = [_form_to_sym2(kinv_cols, _form(alg, by_m, g, formula)) for g in range(alg.dim)]
+    scale = 2 * d_lam * d_k * d_k
+    c = _content(scale, (t.values() for t in tables))
+    if c > 1:
+        tables = [{mono: v // c for mono, v in t.items()} for t in tables]
+    return GeneratorImages(alg.dim, tuple(tables), scale // c)
+
+
+def _generator_action(
+    alg: LieAlgebraTable, lam: DualVector, v: SymElement, formula: str
+) -> SymElement:
+    if v.degree != 1:
+        raise ValueError(f"generator action needs a degree-1 element, got degree {v.degree}")
+    return apply_delta(alg, lam, v, generator_images(alg, lam, formula))
+
+
+def delta_on_generator(alg: LieAlgebraTable, lam: DualVector, v: SymElement) -> SymElement:
+    """Generator action of the constraint-coupled operator, landed in Sym^2."""
+    return _generator_action(alg, lam, v, "symmetrized")
+
+
+def delta_equivalent(alg: LieAlgebraTable, lam: DualVector, v: SymElement) -> SymElement:
+    """Generator action via the independent second formula."""
+    return _generator_action(alg, lam, v, "equivalent")
 
 
 def _delta_monomial(
-    mono: tuple[int, ...],
-    dim: int,
-    images: list[SymElement],
-    memo: dict[tuple[int, ...], SymElement],
-) -> SymElement:
-    """Left-factor-first Leibniz recursion on a sorted monomial."""
-    cached = memo.get(mono)
-    if cached is not None:
-        return cached
-    if len(mono) == 1:
-        out = images[mono[0]]
-    else:
-        head, rest = mono[0], mono[1:]
-        d_rest = _delta_monomial(rest, dim, images, memo)
-        out = mul_monomial(images[head], rest, Fraction(1)).add(
-            mul_monomial(d_rest, (head,), Fraction(-1))
-        )
-    memo[mono] = out
-    return out
+    mono: tuple[int, ...], tables: tuple[IntTerms, ...], memo: dict[tuple[int, ...], IntTerms]
+) -> IntTerms:
+    """Left-factor-first Leibniz recursion on a sorted monomial, in the images' scale.
+
+    delta(x_h r) = delta(x_h) r - delta(r) x_h.  Only proper suffixes r are
+    memoised: no caller reads a full monomial's image twice.
+    """
+    head, rest = mono[0], mono[1:]
+    if not rest:
+        return tables[head]
+    d_rest = memo.get(rest)
+    if d_rest is None:
+        d_rest = memo[rest] = _delta_monomial(rest, tables, memo)
+    out: IntTerms = {}
+    for m, v in tables[head].items():
+        key = tuple(sorted(m + rest))
+        out[key] = out.get(key, 0) + v
+    for m, v in d_rest.items():
+        key = tuple(sorted(m + (head,)))
+        out[key] = out.get(key, 0) - v
+    return {m: v for m, v in out.items() if v}
 
 
 def apply_delta(
     alg: LieAlgebraTable,
     lam: DualVector,
     s: SymElement,
-    images: list[SymElement] | None = None,
+    images: GeneratorImages | None = None,
 ) -> SymElement:
     """Constraint-coupled operator applied to one element (no full matrix)."""
     lam = check_dual_vector(alg, lam)
     if images is None:
         images = generator_images(alg, lam)
-    memo: dict[tuple[int, ...], SymElement] = {}
-    out = SymElement.zero(s.degree + 1, alg.dim)
+    memo: dict[tuple[int, ...], IntTerms] = {}
+    acc: dict[tuple[int, ...], Fraction] = {}
     for mono, coeff in s.terms.items():
-        out = out.add(_delta_monomial(mono, alg.dim, images, memo).scale(coeff))
-    return out
+        for m, v in _delta_monomial(mono, images.tables, memo).items():
+            acc[m] = acc.get(m, 0) + coeff * v
+    terms = {m: Fraction(c, images.scale) for m, c in acc.items() if c}
+    return SymElement(s.degree + 1, alg.dim, terms)
+
+
+def _reduced(cols: list[SparseCol], scale: int) -> tuple[list[SparseCol], int]:
+    """(cols, scale) with the gcd of scale and every entry divided out.
+
+    The returned denominator is then the lcm of the reduced denominators of
+    the entries cols / scale (1 for a zero matrix).
+    """
+    g = _content(scale, ([v for _, v in col] for col in cols))
+    if g == 1:
+        return cols, scale
+    return [[(r, v // g) for r, v in col] for col in cols], scale // g
 
 
 @dataclass
 class SpencerMatrix:
-    """Sparse exact matrix of a Spencer operator between monomial bases."""
+    """Sparse exact matrix of a Spencer operator between monomial bases.
+
+    ``cols`` holds integers; the matrix is cols / denominator, and the
+    denominator is the lcm of the entries' reduced denominators.
+    """
 
     variant: str  # classical | constrained | equivalent-form
     lam: DualVector | None
@@ -268,6 +291,7 @@ class SpencerMatrix:
     nrows: int
     ncols: int
     cols: list[SparseCol] = field(repr=False)
+    denominator: int = 1
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
@@ -275,22 +299,25 @@ class SpencerMatrix:
     def is_zero(self) -> bool:
         return all(not c for c in self.cols)
 
+    def fraction_columns(self) -> list[SparseCol]:
+        """The columns with Fraction entries."""
+        den = self.denominator
+        return [[(r, Fraction(v, den)) for r, v in col] for col in self.cols]
+
     def max_abs_entry(self) -> Fraction:
-        best = Fraction(0)
-        for col in self.cols:
-            for _, v in col:
-                if abs(v) > best:
-                    best = abs(v)
-        return best
+        best = max((abs(v) for col in self.cols for _, v in col), default=0)
+        return Fraction(best, self.denominator)
 
     def add(self, other: "SpencerMatrix") -> "SpencerMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
+        den = lcm(self.denominator, other.denominator)
+        sa, sb = den // self.denominator, den // other.denominator
         cols: list[SparseCol] = []
         for a, b in zip(self.cols, other.cols):
-            acc: dict[int, Fraction] = dict(a)
+            acc = {r: v * sa for r, v in a}
             for r, v in b:
-                newv = acc.get(r, Fraction(0)) + v
+                newv = acc.get(r, 0) + v * sb
                 if newv:
                     acc[r] = newv
                 else:
@@ -298,7 +325,7 @@ class SpencerMatrix:
             cols.append(sorted(acc.items()))
         return SpencerMatrix(
             "sum", self.lam, self.k_from, self.k_to, self.algebra_label,
-            self.dim, self.nrows, self.ncols, cols,
+            self.dim, self.nrows, self.ncols, *_reduced(cols, den),
         )
 
     def compose(self, inner: "SpencerMatrix") -> "SpencerMatrix":
@@ -307,10 +334,10 @@ class SpencerMatrix:
             raise ValueError("composition shape mismatch")
         cols: list[SparseCol] = []
         for col in inner.cols:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int] = {}
             for mid, v in col:
                 for r, w in self.cols[mid]:
-                    newv = acc.get(r, Fraction(0)) + v * w
+                    newv = acc.get(r, 0) + v * w
                     if newv:
                         acc[r] = newv
                     else:
@@ -318,7 +345,8 @@ class SpencerMatrix:
             cols.append(sorted(acc.items()))
         return SpencerMatrix(
             "composite", self.lam, inner.k_from, self.k_to, self.algebra_label,
-            self.dim, self.nrows, inner.ncols, cols,
+            self.dim, self.nrows, inner.ncols,
+            *_reduced(cols, self.denominator * inner.denominator),
         )
 
     def to_matrix_market(self) -> str:
@@ -328,14 +356,15 @@ class SpencerMatrix:
             f"algebra={self.algebra_label}",
             f"{self.nrows} {self.ncols} {self.nnz()}",
         ]
-        for j, col in enumerate(self.cols):
+        for j, col in enumerate(self.fraction_columns()):
             for r, v in col:
                 lines.append(f"{r + 1} {j + 1} {v.numerator}/{v.denominator}")
         return "\n".join(lines) + "\n"
 
 
-def _element_to_col(s: SymElement, n: int, k: int) -> SparseCol:
-    return sorted((monomial_rank(n, mono), _intern(v)) for mono, v in s.terms.items())
+def _column(terms: IntTerms, weights: tuple[tuple[int, ...], ...]) -> SparseCol:
+    """Integer terms as a sparse column, rows indexed by ``sym.rank_weights``."""
+    return sorted((sum(map(getitem, weights, mono)), v) for mono, v in terms.items())
 
 
 def delta_constrained(
@@ -353,17 +382,28 @@ def delta_constrained(
     ncols = guard_sym_dim(n, k, cap)
     nrows = guard_sym_dim(n, k + 1, cap)
     images = generator_images(alg, lam, formula=formula)
-    memo: dict[tuple[int, ...], SymElement] = {}
-    cols: list[SparseCol] = []
-    from itertools import combinations_with_replacement
-
-    for mono in combinations_with_replacement(range(n), k):
-        img = _delta_monomial(mono, n, images, memo)
-        cols.append(_element_to_col(img, n, k + 1))
-        if k >= 3:
-            memo.clear()  # bound the suffix cache at higher degrees
+    weights = rank_weights(n, k + 1)
+    memo: dict[tuple[int, ...], IntTerms] = {}
+    cols = [
+        _column(_delta_monomial(mono, images.tables, memo), weights)
+        for mono in combinations_with_replacement(range(n), k)
+    ]
     variant = "constrained" if formula == "symmetrized" else "equivalent-form"
-    return SpencerMatrix(variant, lam, k, k + 1, alg.label, n, nrows, ncols, cols)
+    return SpencerMatrix(
+        variant, lam, k, k + 1, alg.label, n, nrows, ncols, *_reduced(cols, images.scale)
+    )
+
+
+def _classical_terms(alg: LieAlgebraTable, mono: tuple[int, ...]) -> IntTerms:
+    """Classical operator on one sorted monomial, in integers."""
+    out: IntTerms = {}
+    for j in range(len(mono)):
+        rest = mono[:j] + mono[j + 1 :]
+        for i in range(alg.dim):
+            for c, bcoeff in alg.bracket_basis(i, mono[j]):
+                key = tuple(sorted(rest + (i, c)))
+                out[key] = out.get(key, 0) + bcoeff
+    return {m: v for m, v in out.items() if v}
 
 
 def delta_classical(
@@ -375,12 +415,11 @@ def delta_classical(
     n = alg.dim
     ncols = guard_sym_dim(n, k, cap)
     nrows = guard_sym_dim(n, k + 1, cap)
-    cols: list[SparseCol] = []
-    from itertools import combinations_with_replacement
-
-    for mono in combinations_with_replacement(range(n), k):
-        img = classical_image(alg, SymElement.monomial(n, mono))
-        cols.append(_element_to_col(img, n, k + 1))
+    weights = rank_weights(n, k + 1)
+    cols = [
+        _column(_classical_terms(alg, mono), weights)
+        for mono in combinations_with_replacement(range(n), k)
+    ]
     return SpencerMatrix("classical", None, k, k + 1, alg.label, n, nrows, ncols, cols)
 
 
@@ -388,12 +427,8 @@ def classical_image(alg: LieAlgebraTable, s: SymElement) -> SymElement:
     """Classical operator applied directly to one element."""
     out = SymElement.zero(s.degree + 1, alg.dim)
     for mono, coeff in s.terms.items():
-        for j in range(len(mono)):
-            rest = mono[:j] + mono[j + 1 :]
-            for i in range(alg.dim):
-                ent = alg.bracket_basis(i, mono[j])
-                for c, bcoeff in ent:
-                    out.add_term(tuple(sorted(rest + (i, c))), coeff * bcoeff)
+        for m, v in _classical_terms(alg, mono).items():
+            out.add_term(m, coeff * v)
     return out
 
 
@@ -421,12 +456,11 @@ def generator_formula_agreement(alg: LieAlgebraTable, lam: DualVector) -> dict:
     Agreement is a consequence of the Jacobi identity; it is measured and
     reported rather than assumed, and any discrepancy names the generator.
     """
-    lam = check_dual_vector(alg, lam)
-    disagreements = []
-    for a in range(alg.dim):
-        v = SymElement.basis_vector(alg.dim, a)
-        if generator_form(alg, lam, v) != generator_form_equivalent(alg, lam, v):
-            disagreements.append(a)
+    by_m = _lambda_ad_pairings(alg, _scaled(check_dual_vector(alg, lam))[0])
+    disagreements = [
+        g for g in range(alg.dim)
+        if _form(alg, by_m, g, "symmetrized") != _form(alg, by_m, g, "equivalent")
+    ]
     return {
         "algebra": alg.label,
         "agree": not disagreements,

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import getitem
 
 
 DEFAULT_BASIS_CAP = 10_000_000
@@ -49,17 +51,33 @@ def enumerate_basis(n: int, k: int, cap: int = DEFAULT_BASIS_CAP) -> list[tuple[
     return list(combinations_with_replacement(range(n), k))
 
 
+@lru_cache(maxsize=None)
+def rank_weights(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Per-position weights of the combinatorial number system for Sym^k.
+
+    The position of a sorted monomial (c_0, ..., c_{k-1}) in the
+    enumerate_basis order is the sum of ``weights[q][c_q]``.  With
+    T_t[c] = sum_{v < c} C(n - v + t - 1, t), the number of monomials of
+    degree t + 1 whose first index is below c, weights[q] = T_{k-q-1} - T_{k-q-2}
+    (T_{-1} = 0): the telescoped form of summing, per position, the
+    monomials that branch off below it.
+    """
+    cumulative = []
+    for t in range(k):
+        row = [0]
+        for v in range(n):
+            row.append(row[-1] + comb(n - v + t - 1, t))
+        cumulative.append(row)
+    cumulative.append([0] * (n + 1))  # T_{-1}, read as cumulative[-1]
+    return tuple(
+        tuple(a - b for a, b in zip(cumulative[k - q - 1], cumulative[k - q - 2]))
+        for q in range(k)
+    )
+
+
 def monomial_rank(n: int, mono: tuple[int, ...]) -> int:
     """Position of a sorted monomial in the enumerate_basis order."""
-    k = len(mono)
-    rank = 0
-    prev = 0
-    for pos, c in enumerate(mono):
-        tail = k - pos - 1
-        for v in range(prev, c):
-            rank += comb((n - v) + tail - 1, tail)
-        prev = c
-    return rank
+    return sum(map(getitem, rank_weights(n, len(mono)), mono))
 
 
 @dataclass

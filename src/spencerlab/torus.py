@@ -26,7 +26,7 @@ from .linalg import (
     sparse_kernel_exact,
     verify_kernel_vectors,
 )
-from .operators import DualVector, apply_delta, generator_images
+from .operators import DualVector, GeneratorImages, apply_delta, generator_images
 from .sym import DEFAULT_BASIS_CAP, SymElement
 
 
@@ -139,7 +139,7 @@ def spencer_differential(
     alg: LieAlgebraTable,
     lam: DualVector,
     c: SpencerCochain,
-    images: list[SymElement] | None = None,
+    images: GeneratorImages | None = None,
 ) -> tuple[SpencerCochain, SpencerCochain]:
     """Both components of the coupled differential on a (p, q) cochain.
 

@@ -251,6 +251,12 @@ def test_varsolve_command(runner, tmp_path):
         ("[1, 2]", "must hold a JSON object"),
         ('{"lattice": 3}', "'lattice' must be a JSON object"),
         ('{"algebra": 7}', "cannot parse algebra label '7'"),
+        ('{"seed": 1.5}', "non-integer field 'seed': 1.5"),
+        ('{"seed": true}', "non-numeric field 'seed': true"),
+        ('{"lattice": {"d": 2.0}}', "non-integer field 'd': 2.0"),
+        ('{"lattice": {"n": "4"}}', "non-numeric field 'n': \"4\""),
+        ('{"solver": {"max_iters": 10.5}}', "non-integer field 'max_iters': 10.5"),
+        ('{"solver": {"max_iters": false}}', "non-numeric field 'max_iters': false"),
     ],
 )
 def test_varsolve_bad_config_exits_2(runner, tmp_path, text, message):

@@ -27,7 +27,7 @@ from conftest import load_golden
 def brute_force_nullspace(mat):
     """Textbook dense Gaussian elimination, written independently."""
     rows = [[Q(0)] * mat.ncols for _ in range(mat.nrows)]
-    for j, col in enumerate(mat.cols):
+    for j, col in enumerate(mat.fraction_columns()):
         for r, v in col:
             rows[r][j] = v
     m = [row[:] for row in rows]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,12 @@ def _to_cols(rows, ncols):
     return cols
 
 
+def _integral(cols):
+    """Integer columns and their common denominator, the form the modular path takes."""
+    den = lcm(*(v.denominator for col in cols for _, v in col))
+    return [[(r, int(v * den)) for r, v in col] for col in cols], den
+
+
 def test_rref_identity():
     rows = [[Q(2), Q(0)], [Q(0), Q(5)]]
     rref, pivots = rref_dense(rows)
@@ -80,7 +87,7 @@ def test_modular_rank_agrees_with_exact():
         cols = _to_cols(rows, 5)
         exact = _rank(rows)
         for p in PRIME_POOL[:3]:
-            assert sparse_rank_modp(cols, p) == exact
+            assert sparse_rank_modp(_integral(cols)[0], p) == exact
 
 
 def test_certificate_small_path():
@@ -100,7 +107,8 @@ def test_certificate_large_path_forced():
     rank = 10
     rows = _random_matrix(rng, nrows, ncols, rank)
     cols = _to_cols(rows, ncols)
-    vectors, cert = kernel_with_certificate(cols, nrows, ncols)
+    icols, den = _integral(cols)
+    vectors, cert = kernel_with_certificate(icols, nrows, ncols, den)
     assert cert.method == "multi-modular+exact"
     assert len(cert.primes_used) >= 3
     assert len(set(cert.modular_ranks)) == 1
@@ -158,9 +166,10 @@ def test_eliminator_property(rows, weights):
     rref, pivots = rref_dense(rows)
     exact = len(pivots)
     assert Eliminator(cols).rank == exact
+    icols = _integral(cols)[0]
     for p in PRIME_POOL[:3]:
-        assert sparse_rank_modp(cols, p) == exact
-        assert dense_rank_modp(cols, nrows, ncols, p) == exact
+        assert sparse_rank_modp(icols, p) == exact
+        assert dense_rank_modp(icols, nrows, ncols, p) == exact
     # kernel vectors keep the RREF free-variable form
     vectors, rank = sparse_kernel_exact(cols, ncols)
     assert rank == exact
@@ -195,7 +204,8 @@ def test_certificate_skips_prime_dividing_denominator():
     nrows, ncols = 200, 150
     cols = [[(j, Q(1, PRIME_POOL[0]) if j == 0 else Q(1))] for j in range(ncols - 1)]
     cols.append([(0, Q(1)), (1, Q(2))])
-    vectors, cert = kernel_with_certificate(cols, nrows, ncols)
+    icols, den = _integral(cols)
+    vectors, cert = kernel_with_certificate(icols, nrows, ncols, den)
     assert cert.primes_used == list(PRIME_POOL[1:4])
     assert cert.modular_ranks == [ncols - 1] * 3
     assert cert.method == "multi-modular+exact" and cert.exact_confirmed

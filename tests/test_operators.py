@@ -64,7 +64,7 @@ def oracle_leibniz(alg, lam, mono):
 
 def matrix_as_triples(mat: SpencerMatrix):
     out = []
-    for j, col in enumerate(mat.cols):
+    for j, col in enumerate(mat.fraction_columns()):
         for r, v in col:
             out.append([r, j, v.numerator, v.denominator])
     return out
@@ -136,7 +136,7 @@ def test_classical_abelian_toy_zero():
 
 def test_classical_sl2_image_of_h(a1):
     mat = delta_classical(a1, 1)
-    col = dict(mat.cols[0])  # column of h
+    col = dict(mat.fraction_columns()[0])  # column of h
     basis2 = enumerate_basis(3, 2)
     named = {basis2[r]: v for r, v in col.items()}
     assert named == {(1, 1): Q(-2), (2, 2): Q(2)}
@@ -153,7 +153,7 @@ def test_classical_image_respects_multiset_positions(a2):
     basis = enumerate_basis(a2.dim, 2)
     j = basis.index((0, 0))
     el = classical_image(a2, SymElement.monomial(a2.dim, (0, 0)))
-    assert dict(mat.cols[j]) == {
+    assert dict(mat.fraction_columns()[j]) == {
         r: v for r, v in ((i, el.terms.get(m, Q(0))) for i, m in enumerate(enumerate_basis(a2.dim, 3))) if v
     }
 
@@ -197,7 +197,7 @@ def test_constrained_matrix_matches_leibniz_oracle(a1):
     for j, mono in enumerate(basis2):
         expect = oracle_leibniz(a1, lam, mono)
         col = {idx3[m]: v for m, v in expect.terms.items()}
-        assert dict(mat.cols[j]) == col
+        assert dict(mat.fraction_columns()[j]) == col
 
 
 def test_constrained_matrix_golden(a1):
@@ -222,12 +222,13 @@ def test_lambda_linearity(a2):
         m_combo = delta_constrained(a2, combo, 2)
         m1 = delta_constrained(a2, l1, 2)
         m2 = delta_constrained(a2, l2, 2)
+        c_combo, c1, c2 = (m.fraction_columns() for m in (m_combo, m1, m2))
         for j in range(m_combo.ncols):
-            left = dict(m_combo.cols[j])
+            left = dict(c_combo[j])
             right: dict[int, Q] = {}
-            for r, v in m1.cols[j]:
+            for r, v in c1[j]:
                 right[r] = right.get(r, Q(0)) + a * v
-            for r, v in m2.cols[j]:
+            for r, v in c2[j]:
                 right[r] = right.get(r, Q(0)) + b * v
             assert left == {k_: v for k_, v in right.items() if v}
 
@@ -239,7 +240,7 @@ def test_equivalent_formula_full_matrix_agrees(a2):
     for k in (1, 2):
         sym = delta_constrained(a2, lam, k, formula="symmetrized")
         eqv = delta_constrained(a2, lam, k, formula="equivalent")
-        assert sym.cols == eqv.cols
+        assert sym.fraction_columns() == eqv.fraction_columns()
         assert eqv.variant == "equivalent-form"
 
 

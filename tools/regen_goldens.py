@@ -28,7 +28,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
 
 def triples(mat):
     out = []
-    for j, col in enumerate(mat.cols):
+    for j, col in enumerate(mat.fraction_columns()):
         for r, v in col:
             out.append([r, j, v.numerator, v.denominator])
     return out
