@@ -219,14 +219,15 @@ def _integral(values: list[Fraction], message: str) -> tuple[int, ...]:
     return tuple(int(x) for x in values)
 
 
-def _adjugate(cartan_matrix) -> tuple[int, list[list[int]]]:
+def adjugate(matrix) -> tuple[int, list[list[int]]]:
     """det A and adj A = det(A) A^-1 by fraction-free Gauss-Jordan elimination.
 
     Divisions are exact and need no pivoting: the k-th pivot is the k-th
-    leading principal minor, positive for a finite-type Cartan matrix.
+    leading principal minor, positive for a finite-type Cartan matrix and
+    for an integer positive definite Gram matrix.
     """
-    n = len(cartan_matrix)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan_matrix)]
+    n = len(matrix)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     prev = 1
     for k in range(n):
         piv = m[k][k]
@@ -265,7 +266,7 @@ class RootGeometry:
                       f"{datum.label}: non-integral coroot for {beta}")
             for beta, nb in zip(pos, self.norm2)
         )
-        self.det, adj = _adjugate(a)
+        self.det, adj = adjugate(a)
         self.adj = tuple(map(tuple, adj))
         self.gram = tuple(tuple(x * di for x in row) for row, di in zip(adj, self.d))
         # column i of adj is det(A) omega_i in root coordinates
@@ -301,8 +302,3 @@ class RootGeometry:
 def geometry(datum: CartanDatum) -> RootGeometry:
     """The datum's root and weight geometry, built once per process."""
     return RootGeometry(datum)
-
-
-def root_norm2(datum: CartanDatum, beta: tuple[int, ...]) -> Fraction:
-    """(beta, beta) in the normalisation with short roots of squared length 2."""
-    return Fraction(geometry(datum).root_norm2(beta))

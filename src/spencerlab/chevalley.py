@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cartan import CartanDatum, RootSystem, geometry, root_height
+from .cartan import CartanDatum, RootSystem, adjugate, geometry, root_height
 from .linalg import rref_dense
 
 
@@ -355,31 +355,22 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
 
 
 @lru_cache(maxsize=16)
-def algebra(label: str, verify: bool = True) -> LieAlgebraTable:
+def algebra(label: str) -> LieAlgebraTable:
     """Build (and cache) the algebra for a label like ``A1`` or ``E7``."""
     datum = CartanDatum.from_label(label)
-    return build_chevalley_basis(geometry(datum).root_system, verify=verify)
+    return build_chevalley_basis(geometry(datum).root_system)
 
 
 def killing_determinant_sign(table: LieAlgebraTable) -> int:
-    """Sign of det K, using the Cartan-block / (e,f)-pair shape."""
+    """Sign of det K, using the Cartan-block / (e,f)-pair shape.
+
+    K is positive definite on the real span of the coroots h_i, so the
+    Cartan block's leading principal minors are positive and ``adjugate``
+    needs no pivoting.  Each (e, f) pair adds a block of determinant
+    -K(e, f)^2.
+    """
     rank = table.rank
-    block = [[table.killing[i][j] for j in range(rank)] for i in range(rank)]
-    det = Fraction(1)
-    mat = [row[:] for row in block]
-    sign = 1
-    for col in range(rank):
-        piv = next((r for r in range(col, rank) if mat[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        det *= mat[col][col]
-        for r in range(col + 1, rank):
-            f = mat[r][col] / mat[col][col]
-            mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    det *= sign
+    det, _ = adjugate([[int(table.killing[i][j]) for j in range(rank)] for i in range(rank)])
     for r in range(table.n_positive):
         pairing = table.killing[table.e_index(r)][table.f_index(r)]
         det *= -(pairing * pairing)
@@ -454,37 +445,3 @@ def serialize_table(table: LieAlgebraTable) -> dict:
         "bracket_triples": triples,
         "killing": killing,
     }
-
-
-def deserialize_table(doc: dict) -> LieAlgebraTable:
-    """Rebuild an algebra table from its versioned JSON document.
-
-    The bracket and Killing data are taken from the document and
-    cross-checked against a fresh construction for the same label; any
-    disagreement means the document does not describe the documented
-    convention and is rejected.
-    """
-    if doc.get("format") != "lie-table" or doc.get("format_version") != 1:
-        raise ValueError("unsupported lie-table document")
-    fresh = algebra(doc["algebra"])
-    if fresh.dim != doc["dim"] or list(fresh.basis_labels) != doc["basis_labels"]:
-        raise ValueError("document basis does not match the construction convention")
-    rows: list[dict[int, dict[int, int]]] = [dict() for _ in range(fresh.dim)]
-    for a, b, c, num, den in doc["bracket_triples"]:
-        if den != 1:
-            raise ValueError(f"non-integer structure constant at ({a}, {b}, {c})")
-        rows[a].setdefault(b, {})[c] = num
-        rows[b].setdefault(a, {})[c] = -num
-    for a in range(fresh.dim):
-        got = {b: dict(entries) for b, entries in rows[a].items()}
-        expect = {
-            b: {c: v for c, v in entries}
-            for b, entries in fresh.bracket_rows[a].items()
-        }
-        if got != expect:
-            raise ValueError(f"bracket row {a} disagrees with the construction")
-    killing = {(a, b): Fraction(num, den) for a, b, num, den in doc["killing"]}
-    for (a, b), v in killing.items():
-        if fresh.killing[a][b] != v:
-            raise ValueError(f"Killing entry ({a}, {b}) disagrees with the construction")
-    return fresh

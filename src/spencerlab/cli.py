@@ -43,6 +43,7 @@ from .varsolve import (
 
 EXIT_RESOURCE_CAP = 3
 EXIT_FORCED_IDENTITY = 4
+POSITIVE_INT = click.IntRange(min=1)
 
 
 def _load_algebra(label: str):
@@ -54,7 +55,7 @@ def _load_algebra(label: str):
 
 
 @click.group()
-@click.option("--max-dim", type=int, default=10_000_000, show_default=True,
+@click.option("--max-dim", type=POSITIVE_INT, default=10_000_000, show_default=True,
               help="Cap on symmetric-power basis sizes.")
 @click.pass_context
 def main(ctx: click.Context, max_dim: int) -> None:
@@ -101,7 +102,7 @@ def _lambda_option(alg, spec: str):
 
 @main.command()
 @click.option("--algebra", "label", required=True)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=POSITIVE_INT, required=True)
 @click.option("--variant", type=click.Choice(["classical", "constrained", "equivalent"]),
               default="constrained", show_default=True)
 @click.option("--lambda", "lam_spec", default="preset:zero", show_default=True)
@@ -147,7 +148,7 @@ def matrix(ctx, label: str, k: int, variant: str, lam_spec: str,
 
 @main.command()
 @click.option("--algebra", "label", required=True)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=POSITIVE_INT, required=True)
 @click.option("--lambda", "lam_spec", required=True)
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 @click.option("--csv", "csv_path", type=click.Path(writable=True), default=None)
@@ -215,8 +216,8 @@ def kernel(ctx, label: str, k: int, lam_spec: str, out_path: str | None,
 @main.command()
 @click.option("--algebra", "label", required=True)
 @click.option("--lambda", "lam_spec", required=True)
-@click.option("--k-min", type=int, default=1, show_default=True)
-@click.option("--k-max", type=int, default=2, show_default=True)
+@click.option("--k-min", type=POSITIVE_INT, default=1, show_default=True)
+@click.option("--k-max", type=POSITIVE_INT, default=2, show_default=True)
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 @click.pass_context
 def verify(ctx, label: str, lam_spec: str, k_min: int, k_max: int,
@@ -226,6 +227,8 @@ def verify(ctx, label: str, lam_spec: str, k_min: int, k_max: int,
     Exit 0 only when every forced identity that ran holds; a forced audit
     blocked by the resource cap exits 3.  Nilpotency results never gate.
     """
+    if k_min > k_max:
+        raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
     alg = _load_algebra(label)
     lam = _lambda_option(alg, lam_spec)
     cap = ctx.obj["max_dim"]
@@ -273,10 +276,10 @@ def verify(ctx, label: str, lam_spec: str, k_min: int, k_max: int,
 
 
 @main.command()
-@click.option("--torus", "torus_dim", type=int, default=2, show_default=True)
-@click.option("--n", "subdivisions", type=int, default=4, show_default=True)
+@click.option("--torus", "torus_dim", type=POSITIVE_INT, default=2, show_default=True)
+@click.option("--n", "subdivisions", type=POSITIVE_INT, default=4, show_default=True)
 @click.option("--algebra", "label", required=True)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=POSITIVE_INT, required=True)
 @click.option("--lambda", "lam_spec", required=True)
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 @click.option("--csv", "csv_path", type=click.Path(writable=True), default=None)

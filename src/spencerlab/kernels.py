@@ -35,12 +35,6 @@ class KernelBasis:
     basis: list[SymElement] = field(repr=False)
     coords: list[dict[int, Fraction]] = field(repr=False)  # over column monomials
 
-    def serialize(self, include_basis: bool = True) -> dict:
-        out = {"degree": self.degree, "algebra": self.algebra_label, "dim": self.dim}
-        if include_basis:
-            out["basis"] = [el.serialize() for el in self.basis]
-        return out
-
 
 def kernel(mat: SpencerMatrix) -> tuple[KernelBasis, RankCertificate]:
     """Exact nullspace of a Spencer matrix with its rank certificate."""

@@ -9,11 +9,11 @@ Two operator families are assembled over the monomial bases of Sym^k:
   with its dual, and extended to higher degrees by the graded Leibniz rule
   with a left-factor-first split of each monomial.
 
-The companion evaluator ``generator_form_equivalent`` (the double bracket
+The companion evaluator ``_form(..., "equivalent")`` (the double bracket
 plus half commutator formula) is kept as an independent second route and is
-never substituted for the primary one; agreement between the two is a test
-obligation, not an assumption.  Likewise the nilpotency audit reports the
-composite of consecutive operators exactly as measured.
+never substituted for the primary one; agreement between the two is measured
+by ``generator_formula_agreement``, not assumed.  Likewise the nilpotency
+audit reports the composite of consecutive operators exactly as measured.
 
 Assembly runs in integers.  With lam = lam_num / d_lam and K^{-1} =
 K_num / d_K over the lcms of their denominators, either generator form is
@@ -114,35 +114,6 @@ def _form(
     return {key: val for key, val in out.items() if val}
 
 
-def _fraction_form(
-    alg: LieAlgebraTable, lam: DualVector, v: SymElement, formula: str
-) -> dict[tuple[int, int], Fraction]:
-    """The generator form of a degree-1 element v, back in Fractions."""
-    if v.degree != 1:
-        raise ValueError(f"generator action needs a degree-1 element, got degree {v.degree}")
-    lam_num, d_lam = _scaled(check_dual_vector(alg, lam))
-    by_m = _lambda_ad_pairings(alg, lam_num)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (g,), vg in v.terms.items():
-        for key, val in _form(alg, by_m, g, formula).items():
-            out[key] = out.get(key, 0) + vg * Fraction(val, 2 * d_lam)
-    return {key: val for key, val in out.items() if val}
-
-
-def generator_form(
-    alg: LieAlgebraTable, lam: DualVector, v: SymElement
-) -> dict[tuple[int, int], Fraction]:
-    """Symmetric bilinear form (w1, w2) -> (1/2)(<lam,[w1,[w2,v]]> + <lam,[w2,[w1,v]]>)."""
-    return _fraction_form(alg, lam, v, "symmetrized")
-
-
-def generator_form_equivalent(
-    alg: LieAlgebraTable, lam: DualVector, v: SymElement
-) -> dict[tuple[int, int], Fraction]:
-    """Second evaluator: (w1, w2) -> <lam,[w2,[w1,v]]> + (1/2)<lam,[[w1,w2],v]>."""
-    return _fraction_form(alg, lam, v, "equivalent")
-
-
 def _kinv_columns(alg: LieAlgebraTable) -> tuple[list[list[tuple[int, int]]], int]:
     """Sparse columns of d_K * K^{-1} in integers, and d_K."""
     kinv = alg.killing_inverse
@@ -199,24 +170,6 @@ def generator_images(
     if c > 1:
         tables = [{mono: v // c for mono, v in t.items()} for t in tables]
     return GeneratorImages(alg.dim, tuple(tables), scale // c)
-
-
-def _generator_action(
-    alg: LieAlgebraTable, lam: DualVector, v: SymElement, formula: str
-) -> SymElement:
-    if v.degree != 1:
-        raise ValueError(f"generator action needs a degree-1 element, got degree {v.degree}")
-    return apply_delta(alg, lam, v, generator_images(alg, lam, formula))
-
-
-def delta_on_generator(alg: LieAlgebraTable, lam: DualVector, v: SymElement) -> SymElement:
-    """Generator action of the constraint-coupled operator, landed in Sym^2."""
-    return _generator_action(alg, lam, v, "symmetrized")
-
-
-def delta_equivalent(alg: LieAlgebraTable, lam: DualVector, v: SymElement) -> SymElement:
-    """Generator action via the independent second formula."""
-    return _generator_action(alg, lam, v, "equivalent")
 
 
 def _delta_monomial(
@@ -421,15 +374,6 @@ def delta_classical(
         for mono in combinations_with_replacement(range(n), k)
     ]
     return SpencerMatrix("classical", None, k, k + 1, alg.label, n, nrows, ncols, cols)
-
-
-def classical_image(alg: LieAlgebraTable, s: SymElement) -> SymElement:
-    """Classical operator applied directly to one element."""
-    out = SymElement.zero(s.degree + 1, alg.dim)
-    for mono, coeff in s.terms.items():
-        for m, v in _classical_terms(alg, mono).items():
-            out.add_term(m, coeff * v)
-    return out
 
 
 def verify_mirror(

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from operator import getitem
 
 
 DEFAULT_BASIS_CAP = 10_000_000
@@ -75,11 +74,6 @@ def rank_weights(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def monomial_rank(n: int, mono: tuple[int, ...]) -> int:
-    """Position of a sorted monomial in the enumerate_basis order."""
-    return sum(map(getitem, rank_weights(n, len(mono)), mono))
-
-
 @dataclass
 class SymElement:
     """Sparse exact-rational element of Sym^k, keyed by sorted index tuples."""
@@ -110,9 +104,6 @@ class SymElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def copy(self) -> "SymElement":
-        return SymElement(self.degree, self.dim, dict(self.terms))
-
     def scale(self, c) -> "SymElement":
         c = Fraction(c)
         if c == 0:
@@ -130,9 +121,6 @@ class SymElement:
                 out.pop(m, None)
         return SymElement(self.degree, self.dim, out)
 
-    def sub(self, other: "SymElement") -> "SymElement":
-        return self.add(other.scale(-1))
-
     def add_term(self, mono: tuple[int, ...], coeff: Fraction) -> None:
         new = self.terms.get(mono, Fraction(0)) + coeff
         if new:
@@ -145,12 +133,6 @@ class SymElement:
             raise ValueError(f"elements over different algebras (dim {self.dim} vs {other.dim})")
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def to_dense(self, basis_index: dict[tuple[int, ...], int], size: int) -> list[Fraction]:
-        vec = [Fraction(0)] * size
-        for m, v in self.terms.items():
-            vec[basis_index[m]] = v
-        return vec
 
     def __eq__(self, other) -> bool:
         return (
@@ -175,12 +157,4 @@ def sym_product(a: SymElement, b: SymElement) -> SymElement:
     for m1, v1 in a.terms.items():
         for m2, v2 in b.terms.items():
             out.add_term(tuple(sorted(m1 + m2)), v1 * v2)
-    return out
-
-
-def mul_monomial(a: SymElement, mono: tuple[int, ...], coeff: Fraction) -> SymElement:
-    """a times a single monomial, cheaper than a full sym_product."""
-    out = SymElement.zero(a.degree + len(mono), a.dim)
-    for m1, v1 in a.terms.items():
-        out.add_term(tuple(sorted(m1 + mono)), v1 * coeff)
     return out

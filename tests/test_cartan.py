@@ -10,7 +10,6 @@ from spencerlab.cartan import (
     build_root_system,
     geometry,
     root_height,
-    root_norm2,
     standard_cartan_matrix,
     symmetrizer,
 )
@@ -84,7 +83,7 @@ def test_symmetrizer_makes_da_symmetric():
 def test_root_norms_two_lengths_g2():
     datum = CartanDatum.from_label("G2")
     rs = build_root_system(datum)
-    norms = {root_norm2(datum, b) for b in rs.positive_roots}
+    norms = {geometry(datum).root_norm2(b) for b in rs.positive_roots}
     assert norms == {2, 6}
 
 

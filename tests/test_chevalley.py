@@ -89,6 +89,16 @@ def test_killing_symmetric_nondegenerate(a2):
     assert killing_determinant_sign(a2) != 0
 
 
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
+)
+def test_killing_determinant_sign_from_pair_count(label):
+    # the Cartan block is positive definite and each (e, f) pair adds a
+    # block of negative determinant
+    alg = algebra(label)
+    assert killing_determinant_sign(alg) == (-1) ** alg.n_positive
+
+
 def test_killing_inverse(g2):
     for a in range(g2.dim):
         for b in range(g2.dim):
@@ -174,33 +184,6 @@ def test_serialize_round_trip_shape(a1):
     triples = {tuple(t[:3]): t[3] for t in doc["bracket_triples"]}
     assert triples[(0, 1, 1)] == 2
     assert triples[(1, 2, 0)] == 1
-
-
-def test_serialize_deserialize_round_trip(a2, g2):
-    import json
-
-    from spencerlab.chevalley import deserialize_table
-
-    for alg in (a2, g2):
-        doc = json.loads(json.dumps(serialize_table(alg)))
-        back = deserialize_table(doc)
-        assert back.dim == alg.dim
-        assert back.bracket_rows == alg.bracket_rows
-
-
-def test_deserialize_rejects_tampering(a1):
-    import json
-
-    from spencerlab.chevalley import deserialize_table
-
-    doc = json.loads(json.dumps(serialize_table(a1)))
-    doc["bracket_triples"][0][3] += 1
-    with pytest.raises(ValueError, match="disagrees"):
-        deserialize_table(doc)
-    doc2 = json.loads(json.dumps(serialize_table(a1)))
-    doc2["format_version"] = 2
-    with pytest.raises(ValueError, match="unsupported"):
-        deserialize_table(doc2)
 
 
 def test_construction_without_verify_flag():

@@ -189,6 +189,31 @@ def test_verify_forced_audit_capped_exits_3(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--algebra", "A1", "--k", "0", "--lambda", "preset:cartan1"],
+        ["kernel", "--algebra", "A1", "--k", "-1", "--lambda", "preset:cartan1"],
+        ["matrix", "--algebra", "A1", "--k", "0"],
+        ["cohomology", "--algebra", "A1", "--k", "0", "--lambda", "preset:cartan1"],
+        ["cohomology", "--torus", "0", "--algebra", "A1", "--k", "1",
+         "--lambda", "preset:cartan1"],
+        ["cohomology", "--n", "0", "--algebra", "A1", "--k", "1",
+         "--lambda", "preset:cartan1"],
+        ["verify", "--algebra", "A1", "--lambda", "preset:cartan1", "--k-min", "0"],
+        ["verify", "--algebra", "A1", "--lambda", "preset:cartan1",
+         "--k-min", "3", "--k-max", "1"],
+        ["--max-dim", "0", "matrix", "--algebra", "A1", "--k", "1"],
+        ["--max-dim", "-5", "matrix", "--algebra", "A1", "--k", "1"],
+    ],
+)
+def test_out_of_range_integer_options_exit_2(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert len([ln for ln in result.output.splitlines() if ln.startswith("Error:")]) == 1
+    assert "Traceback" not in result.output
+
+
 def test_cohomology_command(runner, tmp_path):
     csv_path = tmp_path / "dims.csv"
     result = runner.invoke(

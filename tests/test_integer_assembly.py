@@ -31,7 +31,7 @@ from spencerlab.operators import (
     verify_mirror,
 )
 from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual
-from spencerlab.sym import SymElement, enumerate_basis, mul_monomial
+from spencerlab.sym import SymElement, enumerate_basis, sym_product
 
 ALGEBRAS = {label: algebra(label) for label in ("A1", "A2", "B2", "G2")}
 LAMBDA_KINDS = ("cartan", "random", "file-odd", "file-pool-prime")
@@ -108,8 +108,9 @@ def reference_delta(mono, images, memo):
         out = images[mono[0]]
     else:
         head, rest = mono[0], mono[1:]
-        out = mul_monomial(images[head], rest, Q(1)).add(
-            mul_monomial(reference_delta(rest, images, memo), (head,), Q(-1))
+        dim = images[head].dim
+        out = sym_product(images[head], SymElement.monomial(dim, rest)).add(
+            sym_product(reference_delta(rest, images, memo), SymElement.monomial(dim, (head,), -1))
         )
     memo[mono] = out
     return out

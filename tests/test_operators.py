@@ -3,19 +3,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 
-import pytest
-
-from spencerlab.chevalley import algebra
+from spencerlab.chevalley import algebra, bracket
 from spencerlab.operators import (
     SpencerMatrix,
+    _form,
+    _lambda_ad_pairings,
+    _scaled,
     apply_delta,
-    classical_image,
     delta_classical,
     delta_constrained,
-    delta_equivalent,
-    delta_on_generator,
-    generator_form,
-    generator_form_equivalent,
+    generator_formula_agreement,
     generator_images,
     nilpotency_audit,
     verify_mirror,
@@ -54,10 +51,10 @@ def oracle_form(alg, lam, v_index):
 def oracle_leibniz(alg, lam, mono):
     """Independent symbolic Leibniz expansion using sym_product throughout."""
     if len(mono) == 1:
-        return delta_on_generator(alg, lam, SymElement.basis_vector(alg.dim, mono[0]))
+        return generator_images(alg, lam)[mono[0]]
     head = SymElement.basis_vector(alg.dim, mono[0])
     rest = SymElement.monomial(alg.dim, mono[1:])
-    d_head = delta_on_generator(alg, lam, head)
+    d_head = generator_images(alg, lam)[mono[0]]
     d_rest = oracle_leibniz(alg, lam, mono[1:])
     return sym_product(d_head, rest).add(sym_product(head, d_rest).scale(-1))
 
@@ -70,16 +67,21 @@ def matrix_as_triples(mat: SpencerMatrix):
     return out
 
 
+def fraction_form(alg, lam, g):
+    """The symmetrized generator form of x_g, with the 2 * d_lam scale divided out."""
+    lam_num, d_lam = _scaled(lam)
+    by_m = _lambda_ad_pairings(alg, lam_num)
+    return {key: Q(v, 2 * d_lam) for key, v in _form(alg, by_m, g, "symmetrized").items()}
+
+
 # -- generator action ----------------------------------------------------------
 
 def test_form_sl2_examples(a1):
     lam = cartan_dual(a1, 1)
-    h = SymElement.basis_vector(3, 0)
-    e = SymElement.basis_vector(3, 1)
-    # (e, f) slot holds 2; everything else vanishes
-    assert generator_form(a1, lam, h) == {(1, 2): Q(2), (2, 1): Q(2)}
-    # (f, h) slot holds -1
-    assert generator_form(a1, lam, e) == {(2, 0): Q(-1), (0, 2): Q(-1)}
+    # (e, f) slot of h holds 2; everything else vanishes
+    assert fraction_form(a1, lam, 0) == {(1, 2): Q(2), (2, 1): Q(2)}
+    # (f, h) slot of e holds -1
+    assert fraction_form(a1, lam, 1) == {(2, 0): Q(-1), (0, 2): Q(-1)}
 
 
 def test_form_matches_dense_oracle(a2):
@@ -87,32 +89,22 @@ def test_form_matches_dense_oracle(a2):
     for trial in range(6):
         lam = random_dual(a2, seed=100 + trial)
         v = rng.randrange(a2.dim)
-        got = generator_form(a2, lam, SymElement.basis_vector(a2.dim, v))
-        assert got == oracle_form(a2, lam, v)
+        assert fraction_form(a2, lam, v) == oracle_form(a2, lam, v)
 
 
 def test_zero_lambda_gives_zero(a1, a2):
     for alg in (a1, a2):
-        lam = zero_dual(alg)
+        images = generator_images(alg, zero_dual(alg))
         for v in range(alg.dim):
-            el = SymElement.basis_vector(alg.dim, v)
-            assert delta_on_generator(alg, lam, el).is_zero()
+            assert images[v].is_zero()
 
 
 def test_equivalent_formula_agrees_on_generators(a1, a2, g2):
     for alg, seeds in ((a1, [1, 2]), (a2, [3, 4, 5]), (g2, [6])):
         for seed in seeds:
             lam = random_dual(alg, seed=seed)
-            for v in range(alg.dim):
-                el = SymElement.basis_vector(alg.dim, v)
-                assert generator_form(alg, lam, el) == generator_form_equivalent(alg, lam, el)
-                assert delta_on_generator(alg, lam, el) == delta_equivalent(alg, lam, el)
-
-
-def test_generator_rejects_higher_degree(a1):
-    lam = cartan_dual(a1, 1)
-    with pytest.raises(ValueError, match="degree"):
-        delta_on_generator(a1, lam, SymElement.monomial(3, (0, 1)))
+            assert generator_formula_agreement(alg, lam)["agree"]
+            assert generator_images(alg, lam) == generator_images(alg, lam, "equivalent")
 
 
 # -- classical operator ---------------------------------------------------------
@@ -147,15 +139,19 @@ def test_classical_matrix_golden(a1):
     assert matrix_as_triples(mat) == load_golden("a1_classical_k1.json")["triples"]
 
 
-def test_classical_image_respects_multiset_positions(a2):
-    # direct evaluation on a square monomial equals the matrix column
+def test_classical_column_respects_multiset_positions(a2):
+    # the column of x_0 x_0 sums x_i [x_i, x_0] x_0 over both positions,
+    # evaluated independently through ``bracket`` and ``sym_product``
     mat = delta_classical(a2, 2)
-    basis = enumerate_basis(a2.dim, 2)
-    j = basis.index((0, 0))
-    el = classical_image(a2, SymElement.monomial(a2.dim, (0, 0)))
-    assert dict(mat.fraction_columns()[j]) == {
-        r: v for r, v in ((i, el.terms.get(m, Q(0))) for i, m in enumerate(enumerate_basis(a2.dim, 3))) if v
-    }
+    x0 = SymElement.basis_vector(a2.dim, 0)
+    expect = SymElement.zero(3, a2.dim)
+    for i in range(a2.dim):
+        xi = SymElement.basis_vector(a2.dim, i)
+        term = sym_product(sym_product(xi, bracket(a2, xi, x0)), x0)
+        expect = expect.add(term).add(term)
+    row = {m: r for r, m in enumerate(enumerate_basis(a2.dim, 3))}
+    j = enumerate_basis(a2.dim, 2).index((0, 0))
+    assert dict(mat.fraction_columns()[j]) == {row[m]: v for m, v in expect.terms.items()}
 
 
 # -- constrained operator --------------------------------------------------------
