@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Exit status taxonomy: 0 success, 2 usage error, 3 resource cap exceeded,
-4 forced-identity failure (mirror antisymmetry or kernel mirror stability).
+4 forced-identity failure (mirror antisymmetry or kernel mirror stability),
+5 certification failure (modular ranks that keep disagreeing or a kernel
+that fails its exact membership check).
 The nilpotency audit is informational and never gates the exit status.
 """
 
@@ -19,6 +21,7 @@ from .kernels import (
     mirror_stability_check,
     tension_report,
 )
+from .linalg import CertificationError
 from .operators import (
     delta_classical,
     delta_constrained,
@@ -43,7 +46,9 @@ from .varsolve import (
 
 EXIT_RESOURCE_CAP = 3
 EXIT_FORCED_IDENTITY = 4
+EXIT_CERTIFICATION = 5
 POSITIVE_INT = click.IntRange(min=1)
+NON_NEGATIVE_INT = click.IntRange(min=0)
 
 
 def _load_algebra(label: str):
@@ -91,6 +96,11 @@ def lie_info(label: str, out_path: str | None, table_path: str | None) -> None:
     if table_path:
         with open(table_path, "w", encoding="utf-8") as fh:
             json.dump(serialize_table(alg), fh, sort_keys=True, indent=1)
+
+
+def _certification_failed(exc: CertificationError) -> None:
+    click.echo(f"certification failed: {exc}", err=True)
+    sys.exit(EXIT_CERTIFICATION)
 
 
 def _lambda_option(alg, spec: str):
@@ -167,6 +177,8 @@ def kernel(ctx, label: str, k: int, lam_spec: str, out_path: str | None,
     except ResourceCapExceeded as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_RESOURCE_CAP)
+    except CertificationError as exc:
+        _certification_failed(exc)
     body = {
         "algebra": alg.label,
         "k": k,
@@ -251,6 +263,8 @@ def verify(ctx, label: str, lam_spec: str, k_min: int, k_max: int,
         except ResourceCapExceeded as exc:
             audits.append({"kind": "kernel-mirror-stability", "k": k, "skipped": str(exc)})
             forced_capped = True
+        except CertificationError as exc:
+            _certification_failed(exc)
         try:
             nil = nilpotency_audit(alg, lam, k, cap)
             audits.append({"kind": "nilpotency", **nil})
@@ -295,6 +309,8 @@ def cohomology(ctx, torus_dim: int, subdivisions: int, label: str, k: int,
     except ResourceCapExceeded as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_RESOURCE_CAP)
+    except CertificationError as exc:
+        _certification_failed(exc)
     body = rep.as_dict()
     manifest = RunManifest(
         "spencer-cohomology",
@@ -315,8 +331,8 @@ def cohomology(ctx, torus_dim: int, subdivisions: int, label: str, k: int,
 
 @main.command()
 @click.option("--algebra", "label", required=True)
-@click.option("--h11", type=int, required=True)
-@click.option("--kernel-dim", "kernel_dim", type=int, default=None)
+@click.option("--h11", type=NON_NEGATIVE_INT, required=True)
+@click.option("--kernel-dim", "kernel_dim", type=NON_NEGATIVE_INT, default=None)
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 def tension(label: str, h11: int, kernel_dim: int | None, out_path: str | None) -> None:
     """Dimension-tension verdict from the minimal-irrep and h11 bounds."""

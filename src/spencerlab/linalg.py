@@ -10,22 +10,30 @@ it, which yields kernels and exact solves.
 
 The kernel pipeline takes a rational matrix as integer columns plus one
 positive denominator D (the matrix is the columns divided by D, and D is
-the lcm of the reduced entry denominators), and follows a two-tier
-strategy:
+the lcm of the reduced entry denominators):
 
 * small matrices are eliminated exactly at once;
-* large ones get a rank estimate modulo at least three word-size primes
-  (dense elimination up to ``DENSE_MODP_LIMIT`` entries, sparse above;
-  entries are reduced as ``v % p``, since for p not dividing D the rank of
+* larger ones get a sparse rank modulo at least three word-size primes
+  (entries are reduced as ``v % p``, since for p not dividing D the rank of
   the integer columns mod p is that of the matrix; primes dividing D are
   skipped; retried with fresh primes on disagreement), followed by an exact
   elimination pass over the integer columns that both produces the kernel
   basis and confirms the modular rank.  Scaling every column by D leaves
   the free-variable kernel basis unchanged.
 
+The modular passes let the sparsest row lead (Markowitz, 1957): row r is
+keyed ``count[r] * nrows + r``, with count[r] its number of entries, so the
+smallest key is a row with the fewest entries, which keeps fill low on
+operators whose dense rows would otherwise lead.  A rank depends on neither
+row nor column order, so the keys change no modular rank.  The exact pass
+keeps the natural row and column order; its kernel basis depends only on
+the column order, so the kernel vectors do not change either.
+
 Either way every returned kernel vector is re-multiplied through the matrix
-and checked against zero before the result is handed back.  ``rref_dense``
-is the one dense exact routine, for small systems such as matrix inverses.
+and checked against zero before the result is handed back; a failed check
+or a rank that cannot be certified raises :class:`CertificationError`.
+``rref_dense`` is the one dense exact routine, for small systems such as
+matrix inverses.
 """
 
 from __future__ import annotations
@@ -46,7 +54,11 @@ PRIME_POOL = (
 DENSE_ENTRY_LIMIT = 20_000
 
 
-class RankDisagreement(RuntimeError):
+class CertificationError(RuntimeError):
+    """A kernel or rank could not be certified."""
+
+
+class RankDisagreement(CertificationError):
     """Modular ranks kept disagreeing after retries with fresh primes."""
 
 
@@ -195,7 +207,7 @@ def rref_dense(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
-def _columns_mod_p(cols: Sequence[SparseCol], p: int):
+def _columns_mod_p(cols: Iterable[Iterable[tuple]], p: int):
     for col in cols:
         d: dict[int, int] = {}
         for r, v in col:
@@ -205,11 +217,12 @@ def _columns_mod_p(cols: Sequence[SparseCol], p: int):
         yield d
 
 
-DENSE_MODP_LIMIT = 4_000_000
-
-
 def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -> int:
-    """Vectorised row-echelon rank mod p of integer columns, on the transpose."""
+    """Vectorised row-echelon rank mod p of integer columns, on the transpose.
+
+    Not on the kernel path: the tests keep it as an independent reference
+    for :func:`sparse_rank_modp`.
+    """
     import numpy as np
 
     a = np.zeros((ncols, nrows), dtype=np.int64)
@@ -236,14 +249,32 @@ def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -
     return rank
 
 
-def sparse_rank_modp(cols: Sequence[SparseCol], p: int) -> int:
-    """Rank modulo p of integer columns via sparse elimination."""
+def sparse_rank_modp(cols: Iterable[Iterable[tuple]], p: int) -> int:
+    """Rank modulo p of integer columns, given as (row key, value) pairs."""
     return Eliminator(_columns_mod_p(cols, p), p=p).rank
 
 
-def sparse_kernel_exact(
-    cols: Sequence[SparseCol], ncols: int
-) -> tuple[list[dict[int, Fraction]], int]:
+class _SparsestRowLeads:
+    """Integer columns with row r re-keyed ``count[r] * nrows + r``.
+
+    Rows are counted once, on construction; each iteration (one per prime)
+    re-keys the columns lazily, so no keyed copy of the matrix is kept.
+    """
+
+    def __init__(self, cols: Sequence[SparseCol], nrows: int):
+        count = [0] * nrows
+        for col in cols:
+            for r, _ in col:
+                count[r] += 1
+        self.cols, self.nrows, self.count = cols, nrows, count
+
+    def __iter__(self):
+        count, nrows = self.count, self.nrows
+        for col in self.cols:
+            yield ((count[r] * nrows + r, v) for r, v in col)
+
+
+def sparse_kernel_exact(cols: Sequence[SparseCol]) -> tuple[list[dict[int, Fraction]], int]:
     """Exact kernel in reduced (free-variable) form, and the rank.
 
     Column j is inserted under tag j; a column that reduces to zero yields
@@ -252,8 +283,8 @@ def sparse_kernel_exact(
     """
     elim = Eliminator(track=True)
     kernel = []
-    for j in range(ncols):
-        relation = elim.insert(cols[j], j)
+    for j, col in enumerate(cols):
+        relation = elim.insert(col, j)
         if relation is not None:
             kernel.append(relation)
     return kernel, elim.rank
@@ -288,26 +319,25 @@ def kernel_with_certificate(
     mod p.
     """
     if nrows * ncols <= DENSE_ENTRY_LIMIT:
-        vectors, rank = sparse_kernel_exact(cols, ncols)
+        vectors, rank = sparse_kernel_exact(cols)
         if not verify_kernel_vectors(cols, vectors):
-            raise RuntimeError("dense kernel failed the exact membership check")
+            raise CertificationError("dense kernel failed the exact membership check")
         # "dense-exact" names the small-matrix tier in the report format.
         return vectors, RankCertificate([], [], True, "dense-exact", rank)
 
     pool = [p for p in PRIME_POOL if denominator % p]
-    use_dense_modp = nrows * ncols <= DENSE_MODP_LIMIT
+    keyed = _SparsestRowLeads(cols, nrows)
     for attempt in range(4):
         primes = pool[attempt * 3 : attempt * 3 + 3]
         if len(primes) < 3:
             raise RankDisagreement("prime pool exhausted")
-        if use_dense_modp:
-            ranks = [dense_rank_modp(cols, nrows, ncols, p) for p in primes]
-        else:
-            ranks = [sparse_rank_modp(cols, p) for p in primes]
+        ranks = [sparse_rank_modp(keyed, p) for p in primes]
         if len(set(ranks)) == 1:
             break
     else:
         raise RankDisagreement(f"modular ranks disagree persistently: {ranks}")
+    # Free the row counts: the exact pass below sets the peak memory.
+    del keyed
 
     if ranks[0] == ncols:
         # Full column rank is already exact: the rank over the rationals is
@@ -315,9 +345,9 @@ def kernel_with_certificate(
         cert = RankCertificate(primes, ranks, True, "multi-modular+full-column-rank", ncols)
         return [], cert
 
-    vectors, exact_rank = sparse_kernel_exact(cols, ncols)
+    vectors, exact_rank = sparse_kernel_exact(cols)
     if not verify_kernel_vectors(cols, vectors):
-        raise RuntimeError("exact kernel failed the membership check")
+        raise CertificationError("exact kernel failed the membership check")
     confirmed = exact_rank == ranks[0] and len(vectors) == ncols - exact_rank
     cert = RankCertificate(primes, ranks, confirmed, "multi-modular+exact", exact_rank)
     if not confirmed:

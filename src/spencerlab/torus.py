@@ -244,7 +244,7 @@ class DeRhamClasses:
         self.complex = complex_
         self.p = p
         self.columns = complex_.coboundary_columns(p)
-        self.cocycles, _ = sparse_kernel_exact(self.columns, len(self.columns))
+        self.cocycles, _ = sparse_kernel_exact(self.columns)
         self.solver = Eliminator(track=True)
         if p >= 1:
             for j, col in enumerate(complex_.coboundary_columns(p - 1)):

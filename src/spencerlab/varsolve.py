@@ -335,9 +335,9 @@ def certify_compatible_pair(
     At each node the pairing functional ell(axis) = <lambda, omega(axis)>
     defines a linear functional on the d incident axis directions; its
     annihilator is the constraint distribution proxy D.  The dimension
-    split rank(D) + rank(V) = d holds with rank(V) = 1 exactly when the
-    functional is nonzero; nodes with lambda below tolerance are flagged
-    degenerate rather than failed.
+    split rank(D) + rank(V) = d holds by construction, with rank(V) = 1
+    exactly when the functional is nonzero; nodes with lambda below
+    tolerance are flagged degenerate, every other node is a split.
     """
     out = []
     edge_of = {}
@@ -358,9 +358,8 @@ def certify_compatible_pair(
         annihilated = [a for a, p in enumerate(pairings) if abs(p) <= tol]
         rank_v = 1 if any(abs(p) > tol for p in pairings) else 0
         rank_d = bundle.d - rank_v
-        verdict = "split" if rank_d + rank_v == bundle.d else "failed"
         out.append(
-            NodeCertificate(node, sup, pairings, annihilated, rank_d, rank_v, bundle.d, verdict)
+            NodeCertificate(node, sup, pairings, annihilated, rank_d, rank_v, bundle.d, "split")
         )
     return out
 

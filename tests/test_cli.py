@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from spencerlab import linalg
 from spencerlab.cli import main
 from spencerlab.linalg import PRIME_POOL
 from spencerlab.reports import SchemaError, body_bytes, validate_report
@@ -205,12 +207,28 @@ def test_verify_forced_audit_capped_exits_3(runner):
          "--k-min", "3", "--k-max", "1"],
         ["--max-dim", "0", "matrix", "--algebra", "A1", "--k", "1"],
         ["--max-dim", "-5", "matrix", "--algebra", "A1", "--k", "1"],
+        ["tension", "--algebra", "E7", "--h11", "56", "--kernel-dim", "-3"],
+        ["tension", "--algebra", "E7", "--h11", "-1"],
     ],
 )
 def test_out_of_range_integer_options_exit_2(runner, argv):
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert len([ln for ln in result.output.splitlines() if ln.startswith("Error:")]) == 1
+    assert "Traceback" not in result.output
+
+
+def test_certification_failure_exits_5(runner, monkeypatch):
+    # A2 k=3 is 120 x 330, above the dense-exact tier, so its rank comes from
+    # the modular passes; ranks that never agree cannot be certified.
+    calls = itertools.count()
+    monkeypatch.setattr(linalg, "sparse_rank_modp", lambda cols, p: next(calls))
+    result = runner.invoke(
+        main, ["kernel", "--algebra", "A2", "--k", "3", "--lambda", "preset:cartan1"]
+    )
+    assert result.exit_code == 5, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and "disagree" in lines[0], result.output
     assert "Traceback" not in result.output
 
 

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spencerlab import linalg
+from spencerlab.chevalley import algebra
 from spencerlab.linalg import (
+    DENSE_ENTRY_LIMIT,
     PRIME_POOL,
     Eliminator,
     dense_rank_modp,
@@ -20,6 +23,8 @@ from spencerlab.linalg import (
     sparse_rank_modp,
     verify_kernel_vectors,
 )
+from spencerlab.operators import delta_constrained
+from spencerlab.presets import parse_lambda_spec
 
 
 def _random_matrix(rng, nrows, ncols, rank):
@@ -61,7 +66,7 @@ def test_rref_identity():
 def test_nullspace_simple():
     # x + y + z = 0 has a 2-dimensional kernel
     rows = [[Q(1), Q(1), Q(1)]]
-    basis, _rank_found = sparse_kernel_exact(_to_cols(rows, 3), 3)
+    basis, _rank_found = sparse_kernel_exact(_to_cols(rows, 3))
     assert len(basis) == 2
     for vec in basis:
         assert sum(vec.values(), Q(0)) == 0
@@ -74,7 +79,7 @@ def test_sparse_exact_matches_dense():
         target = rng.randint(0, min(nrows, ncols))
         rows = _random_matrix(rng, nrows, ncols, target)
         cols = _to_cols(rows, ncols)
-        vectors, rank = sparse_kernel_exact(cols, ncols)
+        vectors, rank = sparse_kernel_exact(cols)
         assert rank == _rank(rows)
         assert len(vectors) == ncols - rank
         assert verify_kernel_vectors(cols, vectors)
@@ -101,7 +106,8 @@ def test_certificate_small_path():
 
 
 def test_certificate_large_path_forced():
-    # Shrink the dense threshold by building a matrix bigger than the limit.
+    # 300 x 250 is above DENSE_ENTRY_LIMIT, so the modular ranks and the
+    # exact confirmation pass both run.
     rng = random.Random(5)
     nrows, ncols = 300, 250
     rank = 10
@@ -171,7 +177,7 @@ def test_eliminator_property(rows, weights):
         assert sparse_rank_modp(icols, p) == exact
         assert dense_rank_modp(icols, nrows, ncols, p) == exact
     # kernel vectors keep the RREF free-variable form
-    vectors, rank = sparse_kernel_exact(cols, ncols)
+    vectors, rank = sparse_kernel_exact(cols)
     assert rank == exact
     free = [c for c in range(ncols) if c not in pivots]
     for vec, fc in zip(vectors, free):
@@ -210,3 +216,40 @@ def test_certificate_skips_prime_dividing_denominator():
     assert cert.modular_ranks == [ncols - 1] * 3
     assert cert.method == "multi-modular+exact" and cert.exact_confirmed
     assert vectors == [{ncols - 1: Q(1), 0: -Q(PRIME_POOL[0]), 1: Q(-2)}]
+
+
+def _spencer_matrix(label, k, spec):
+    alg = algebra(label)
+    return delta_constrained(alg, parse_lambda_spec(alg, spec), k)
+
+
+def test_certificates_never_take_the_dense_modular_tier(monkeypatch):
+    # Both matrices sit above the dense-exact tier and below the size where
+    # the modular ranks used to switch from dense to sparse elimination.
+    def refuse(*args):
+        raise AssertionError("dense_rank_modp is a test reference only")
+
+    monkeypatch.setattr(linalg, "dense_rank_modp", refuse)
+    for label, k, spec, method in [
+        ("G2", 3, "preset:random:1000", "multi-modular+full-column-rank"),
+        ("G2", 2, "preset:cartan1", "multi-modular+exact"),
+    ]:
+        mat = _spencer_matrix(label, k, spec)
+        assert mat.nrows * mat.ncols > DENSE_ENTRY_LIMIT
+        vectors, cert = kernel_with_certificate(mat.cols, mat.nrows, mat.ncols, mat.denominator)
+        assert cert.method == method and cert.exact_confirmed
+        assert len(set(cert.modular_ranks)) == 1
+        assert cert.rank + len(vectors) == mat.ncols
+
+
+@pytest.mark.parametrize("label,k,spec", [
+    ("A2", 3, "preset:random:1003"),
+    ("G2", 3, "preset:random:1000"),
+])
+def test_certificate_ranks_match_dense_reference(label, k, spec):
+    # Rows of these operators carry uneven entry counts, so the sparsest-row
+    # lead reorders the modular elimination; the ranks must not move.
+    mat = _spencer_matrix(label, k, spec)
+    cols, nrows, ncols = mat.cols, mat.nrows, mat.ncols
+    _, cert = kernel_with_certificate(cols, nrows, ncols, mat.denominator)
+    assert cert.modular_ranks == [dense_rank_modp(cols, nrows, ncols, p) for p in cert.primes_used]
