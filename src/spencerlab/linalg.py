@@ -16,30 +16,49 @@ the lcm of the reduced entry denominators):
 * larger ones get a sparse rank modulo at least three word-size primes
   (entries are reduced as ``v % p``, since for p not dividing D the rank of
   the integer columns mod p is that of the matrix; primes dividing D are
-  skipped; retried with fresh primes on disagreement), followed by an exact
-  elimination pass over the integer columns that both produces the kernel
-  basis and confirms the modular rank.  Scaling every column by D leaves
-  the free-variable kernel basis unchanged.
+  skipped; retried with fresh primes on disagreement).  The kernel is then
+  lifted from one tracked elimination mod the first of those primes p, in
+  the natural row and column order: each column that reduces to zero
+  yields its relation to earlier pivot columns mod p, and every residue is
+  lifted to a fraction n/d with |n|, d <= sqrt(p/2) by rational
+  reconstruction (Wang, 1981).  Scaling every column by D leaves the
+  free-variable kernel basis unchanged.
 
-The modular passes let the sparsest row lead (Markowitz, 1957): row r is
-keyed ``count[r] * nrows + r``, with count[r] its number of entries, so the
-smallest key is a row with the fewest entries, which keeps fill low on
+The lifted vectors are accepted only if each passes the exact membership
+check.  That is a certificate: the tracked pass has the rank r mod p, so it
+yields m = ncols - r vectors; vectors in free-variable form are
+independent, so the nullity is at least m, and a modular rank bounds the
+rank from below, so rank + m = ncols pins both.  Each accepted vector ties
+a column to earlier columns only, so every column free mod p is free over
+Q; both free sets have m elements, so they are equal and the vectors are
+the rational free-variable basis, vector for vector.  If a reconstruction
+or a check fails, the kernel is eliminated over Q instead, so a failed
+lift costs one tracked pass.  Combining several primes by the Chinese
+remainder theorem (Dixon, Numer. Math. 1982) would lift larger
+coefficients, but one prime lifts every kernel of the benchmark
+workloads.  "exact" in the method ``multi-modular+exact`` names an exact
+rational basis with an exact check, whichever way it was found.
+
+The modular rank passes let the sparsest row lead (Markowitz, 1957): row r
+is keyed ``count[r] * nrows + r``, with count[r] its number of entries, so
+the smallest key is a row with the fewest entries, which keeps fill low on
 operators whose dense rows would otherwise lead.  A rank depends on neither
-row nor column order, so the keys change no modular rank.  The exact pass
-keeps the natural row and column order; its kernel basis depends only on
-the column order, so the kernel vectors do not change either.
+row nor column order, so the keys change no modular rank.  The kernel
+passes keep the natural order: a kernel basis depends only on the column
+order, so the kernel vectors do not change either.
 
 Either way every returned kernel vector is re-multiplied through the matrix
-and checked against zero before the result is handed back; a failed check
-or a rank that cannot be certified raises :class:`CertificationError`.
-``rref_dense`` is the one dense exact routine, for small systems such as
-matrix inverses.
+and checked against zero, in integers, before the result is handed back; a
+failed check or a rank that cannot be certified raises
+:class:`CertificationError`.  ``rref_dense`` is the one dense exact routine,
+for small systems such as matrix inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 
@@ -274,36 +293,81 @@ class _SparsestRowLeads:
             yield ((count[r] * nrows + r, v) for r, v in col)
 
 
-def sparse_kernel_exact(cols: Sequence[SparseCol]) -> tuple[list[dict[int, Fraction]], int]:
-    """Exact kernel in reduced (free-variable) form, and the rank.
+def _relations(cols: Iterable, p: int | None) -> tuple[list[dict], int]:
+    """Relations of the columns that reduce to zero, and the rank.
 
-    Column j is inserted under tag j; a column that reduces to zero yields
-    the kernel vector supported on it plus earlier pivot columns.
-    Deterministic.
+    Column j is inserted under tag j into a tracked elimination over Q or
+    F_p; its relation is supported on j (coefficient 1) and earlier pivot
+    columns.
     """
-    elim = Eliminator(track=True)
-    kernel = []
+    elim = Eliminator(p=p, track=True)
+    relations = []
     for j, col in enumerate(cols):
         relation = elim.insert(col, j)
         if relation is not None:
-            kernel.append(relation)
-    return kernel, elim.rank
+            relations.append(relation)
+    return relations, elim.rank
+
+
+def sparse_kernel_exact(cols: Sequence[SparseCol]) -> tuple[list[dict[int, Fraction]], int]:
+    """Exact kernel in reduced (free-variable) form, and the rank, over Q.
+
+    Deterministic; the fallback when a modular lift fails.
+    """
+    return _relations(cols, None)
+
+
+def _rational_reconstruction(u: int, m: int) -> Fraction | None:
+    """The fraction n/d with n = d*u mod m and |n|, d <= sqrt(m/2), or None.
+
+    Wang's half-extended Euclidean algorithm (1981); the fraction is unique
+    when it exists.
+    """
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _lifted_kernel(cols: Sequence[SparseCol], p: int) -> list[dict[int, Fraction]] | None:
+    """Kernel vectors lifted from one tracked pass mod p, or None.
+
+    The lift is returned only when every vector passes the exact membership
+    check (see the module docs).  Residues are replaced in place, so the
+    residues and the fractions are not held side by side.
+    """
+    vectors, _ = _relations(_columns_mod_p(cols, p), p)
+    for vec in vectors:
+        for j, u in vec.items():
+            vec[j] = _rational_reconstruction(u, p)
+            if vec[j] is None:
+                return None
+    return vectors if verify_kernel_vectors(cols, vectors) else None
 
 
 def verify_kernel_vectors(
     cols: Sequence[SparseCol], vectors: Iterable[dict[int, Fraction]]
 ) -> bool:
-    """Exact check that each combination of columns is the zero vector."""
+    """Exact check that each combination of columns is the zero vector.
+
+    Each vector is scaled by the lcm of its coefficient denominators, so
+    integer columns are combined in integers.
+    """
     for vec in vectors:
-        acc: dict[int, Fraction] = {}
-        for j, coeff in vec.items():
+        # A list, not a generator: unpacking a generator builds an oversized
+        # tuple and leaves one 1-tuple per call in the interpreter's free list.
+        scale = lcm(*[c.denominator for c in vec.values()])
+        acc: dict = {}
+        for j, c in vec.items():
+            c = c.numerator * (scale // c.denominator)
             for r, v in cols[j]:
-                newv = acc.get(r, Fraction(0)) + coeff * v
-                if newv:
-                    acc[r] = newv
-                else:
-                    acc.pop(r, None)
-        if acc:
+                acc[r] = acc.get(r, 0) + c * v
+        if any(acc.values()):
             return False
     return True
 
@@ -336,7 +400,7 @@ def kernel_with_certificate(
             break
     else:
         raise RankDisagreement(f"modular ranks disagree persistently: {ranks}")
-    # Free the row counts: the exact pass below sets the peak memory.
+    # Free the row counts: the tracked pass below sets the peak memory.
     del keyed
 
     if ranks[0] == ncols:
@@ -345,16 +409,16 @@ def kernel_with_certificate(
         cert = RankCertificate(primes, ranks, True, "multi-modular+full-column-rank", ncols)
         return [], cert
 
-    vectors, exact_rank = sparse_kernel_exact(cols)
-    if not verify_kernel_vectors(cols, vectors):
-        raise CertificationError("exact kernel failed the membership check")
-    confirmed = exact_rank == ranks[0] and len(vectors) == ncols - exact_rank
-    cert = RankCertificate(primes, ranks, confirmed, "multi-modular+exact", exact_rank)
-    if not confirmed:
-        raise RankDisagreement(
-            f"exact rank {exact_rank} does not confirm modular ranks {ranks}"
-        )
-    return vectors, cert
+    vectors = _lifted_kernel(cols, primes[0])
+    if vectors is None:
+        vectors, exact_rank = sparse_kernel_exact(cols)
+        if not verify_kernel_vectors(cols, vectors):
+            raise CertificationError("exact kernel failed the membership check")
+        if exact_rank != ranks[0] or exact_rank + len(vectors) != ncols:
+            raise RankDisagreement(
+                f"exact rank {exact_rank} does not confirm modular ranks {ranks}"
+            )
+    return vectors, RankCertificate(primes, ranks, True, "multi-modular+exact", ranks[0])
 
 
 def span_rank(vectors: Iterable) -> int:

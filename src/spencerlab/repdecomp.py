@@ -86,23 +86,34 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     dim of the weight-mu component equals the kernel dimension minus the
     rank of the basis matrix with the weight-mu monomial columns removed.
     The multiplicities sum to the kernel dimension exactly when the kernel
-    is weight-graded; a shortfall flags non-submodule input.
+    is weight-graded; a shortfall flags non-submodule input.  When every
+    basis vector has a single weight, removing the weight-mu columns
+    deletes exactly the weight-mu vectors and keeps the rest independent,
+    so the multiplicities are counts and no rank is computed.
     """
     weights_present: set[WeightVector] = set()
     mono_weight: dict[tuple[int, ...], WeightVector] = {}
+    # The one weight of each basis vector, None for a vector of several.
+    vector_weight: list[WeightVector | None] = []
     for el in kb.basis:
         for mono in el.terms:
             if mono not in mono_weight:
                 mono_weight[mono] = monomial_weight(alg, mono)
-            weights_present.add(mono_weight[mono])
+        weights = {mono_weight[mono] for mono in el.terms}
+        weights_present |= weights
+        vector_weight.append(weights.pop() if len(weights) == 1 else None)
     multiplicities: dict[WeightVector, int] = {}
-    for mu in sorted(weights_present):
-        r = span_rank(
-            {m: v for m, v in el.terms.items() if mono_weight[m] != mu} for el in kb.basis
-        )
-        d = kb.dim - r
-        if d:
-            multiplicities[mu] = d
+    if None not in vector_weight:
+        multiplicities.update(Counter(vector_weight))
+    else:
+        for mu in sorted(weights_present):
+            r = span_rank(
+                {m: v for m, v in el.terms.items() if mono_weight[m] != mu}
+                for el in kb.basis
+            )
+            d = kb.dim - r
+            if d:
+                multiplicities[mu] = d
     total = sum(multiplicities.values())
     return {
         "weights": {",".join(map(str, mu)): m for mu, m in sorted(multiplicities.items())},

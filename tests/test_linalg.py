@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spencerlab import linalg
@@ -106,8 +106,9 @@ def test_certificate_small_path():
 
 
 def test_certificate_large_path_forced():
-    # 300 x 250 is above DENSE_ENTRY_LIMIT, so the modular ranks and the
-    # exact confirmation pass both run.
+    # 300 x 250 is above DENSE_ENTRY_LIMIT, so the modular ranks run.  The
+    # kernel coefficients are too large to lift from one prime, so the lift
+    # fails and the kernel is eliminated over Q, then checked exactly.
     rng = random.Random(5)
     nrows, ncols = 300, 250
     rank = 10
@@ -253,3 +254,115 @@ def test_certificate_ranks_match_dense_reference(label, k, spec):
     cols, nrows, ncols = mat.cols, mat.nrows, mat.ncols
     _, cert = kernel_with_certificate(cols, nrows, ncols, mat.denominator)
     assert cert.modular_ranks == [dense_rank_modp(cols, nrows, ncols, p) for p in cert.primes_used]
+
+
+def _refuse_fraction_kernel(*args):
+    raise AssertionError("sparse_kernel_exact is the fallback of a failed modular lift")
+
+
+def test_certificates_never_take_the_fraction_kernel(monkeypatch):
+    # Above the dense-exact tier the kernel comes from the modular lift; the
+    # elimination over Q is only the fallback of a failed lift.
+    monkeypatch.setattr(linalg, "sparse_kernel_exact", _refuse_fraction_kernel)
+    for label, k, spec in [
+        ("G2", 2, "preset:random:1000"),
+        ("A2", 3, "preset:random:1003"),
+        ("F4", 2, "preset:zero"),
+    ]:
+        mat = _spencer_matrix(label, k, spec)
+        assert mat.nrows * mat.ncols > DENSE_ENTRY_LIMIT
+        vectors, cert = kernel_with_certificate(mat.cols, mat.nrows, mat.ncols, mat.denominator)
+        assert cert.exact_confirmed and len(set(cert.modular_ranks)) == 1
+        assert cert.rank + len(vectors) == mat.ncols
+
+
+def _certified_counting_fallbacks(cols, nrows, ncols):
+    """kernel_with_certificate on the modular path, and how often it fell back to Q."""
+    calls = []
+
+    def counted(cols):
+        calls.append(len(cols))
+        return sparse_kernel_exact(cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "DENSE_ENTRY_LIMIT", 0)
+        mp.setattr(linalg, "sparse_kernel_exact", counted)
+        vectors, cert = kernel_with_certificate(cols, nrows, ncols)
+    return vectors, cert, len(calls)
+
+
+# Integer matrices up to 5 x 6.  With entries in [-2, 2] every kernel
+# coefficient is a ratio of minors below 5500 by Hadamard's bound, which one
+# pool prime lifts; entries up to 10^6 give coefficients too large to lift,
+# which must take the elimination over Q.
+_small_entries = st.integers(-2, 2)
+_int_entries = st.one_of(_small_entries, st.integers(-10**6, 10**6))
+_int_matrices = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(st.lists(_int_entries, min_size=ncols, max_size=ncols),
+                           min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_int_matrices)
+@example(rows=[[999_983, 10**6]])
+@example(rows=[[10**6 - 17, 3, 10**6], [-999_331, 10**6 - 3, 7]])
+@example(rows=[[1, 2, 3], [2, 4, 6], [0, 0, 0]])
+def test_lifted_kernel_equals_fraction_kernel(rows):
+    nrows, ncols = len(rows), len(rows[0])
+    cols = _to_cols(rows, ncols)
+    expected, rank = sparse_kernel_exact(cols)
+    vectors, cert, fallbacks = _certified_counting_fallbacks(cols, nrows, ncols)
+    assert vectors == expected
+    assert all(isinstance(v, Q) for vec in vectors for v in vec.values())
+    assert cert.rank == rank and cert.exact_confirmed
+    assert cert.modular_ranks == [rank] * 3 and cert.primes_used == list(PRIME_POOL[:3])
+    if all(abs(v) <= 2 for row in rows for v in row):
+        assert fallbacks == 0
+
+
+def test_unlucky_prime_falls_back_to_the_fraction_kernel():
+    # Mod the first pool prime, column 0 vanishes and column 1 is the pivot;
+    # over Q column 0 is the pivot.  The rank is 1 either way, so the first
+    # prime's free set is wrong while its rank is right: the lifted vector
+    # fails the membership check.
+    p0 = PRIME_POOL[0]
+    cols = [[(0, p0)], [(0, 1)]]
+    expected, _ = sparse_kernel_exact(cols)
+    assert expected == [{1: Q(1), 0: Q(-1, p0)}]
+    vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
+    assert vectors == expected and fallbacks == 1
+    assert cert.primes_used == list(PRIME_POOL[:3]) and cert.modular_ranks == [1, 1, 1]
+    assert cert.rank == 1 and cert.exact_confirmed and cert.method == "multi-modular+exact"
+
+
+def test_kernel_too_large_to_lift_costs_one_tracked_pass(monkeypatch):
+    # The kernel coefficient -b/a has 200-bit parts, beyond any reconstruction
+    # bound of the pool: one tracked pass mod the first prime, then Q.
+    a, b = 2**200 + 1, 3**126
+    cols = [[(0, a)], [(0, b)]]
+    passes = []
+    relations = linalg._relations
+
+    def counted(cols, p):
+        passes.append(p)
+        return relations(cols, p)
+
+    monkeypatch.setattr(linalg, "_relations", counted)
+    vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
+    assert vectors == [{1: Q(1), 0: Q(-b, a)}] and fallbacks == 1
+    assert passes == [PRIME_POOL[0], None]
+    assert cert.rank == 1 and cert.modular_ranks == [1, 1, 1]
+
+
+def test_failed_lift_falls_back_to_the_fraction_kernel(monkeypatch):
+    rng = random.Random(11)
+    rows = _random_matrix(rng, 4, 6, 3)
+    cols = _integral(_to_cols(rows, 6))[0]
+    expected, rank = sparse_kernel_exact(cols)
+    monkeypatch.setattr(linalg, "_rational_reconstruction", lambda u, m: None)
+    vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 4, 6)
+    assert fallbacks == 1
+    assert vectors == expected and len(vectors) == 3
+    assert cert.rank == rank == 3 and cert.modular_ranks == [3, 3, 3]
+    assert cert.method == "multi-modular+exact" and cert.exact_confirmed

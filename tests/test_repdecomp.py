@@ -8,7 +8,7 @@ import pytest
 
 from spencerlab.chevalley import algebra
 from spencerlab.kernels import kernel_of_constrained
-from spencerlab.linalg import rref_dense
+from spencerlab.linalg import rref_dense, span_rank
 from spencerlab.presets import cartan_dual, random_dual, zero_dual
 from spencerlab.repdecomp import (
     WeightLattice,
@@ -17,6 +17,7 @@ from spencerlab.repdecomp import (
     freudenthal_multiplicities,
     irrep_weight_multiset,
     is_g_submodule,
+    monomial_weight,
     weight_decomposition,
     weyl_dim,
 )
@@ -72,6 +73,26 @@ def test_symk_weights_match_combinatorial_oracle(a2):
         for mono in combinations_with_replacement(range(a2.dim), k)
     )
     assert sorted(wd["multiset"]) == oracle
+
+
+@pytest.mark.parametrize("label,cartan_index", [("A2", 1), ("G2", 1), ("G2", 2), ("B2", 2)])
+def test_homogeneous_weight_counts_match_rank_formula(label, cartan_index):
+    # A Cartan lambda gives a kernel basis of weight vectors, so the
+    # multiplicities are counts; they must equal dim K minus the rank of the
+    # basis with the weight-mu monomials removed.
+    alg = algebra(label)
+    kb, _ = kernel_of_constrained(alg, cartan_dual(alg, cartan_index), 2)
+    weight = {m: monomial_weight(alg, m) for el in kb.basis for m in el.terms}
+    assert all(len({weight[m] for m in el.terms}) == 1 for el in kb.basis)
+    expected = {}
+    for mu in sorted(set(weight.values())):
+        d = kb.dim - span_rank(
+            {m: v for m, v in el.terms.items() if weight[m] != mu} for el in kb.basis
+        )
+        if d:
+            expected[",".join(map(str, mu))] = d
+    wd = weight_decomposition(alg, kb)
+    assert wd["weights"] == expected and wd["graded"]
 
 
 def test_weyl_dim_values(a1):
