@@ -1,15 +1,21 @@
 """Command-line front door.
 
-Exit status taxonomy: 0 success, 2 usage error, 3 resource cap exceeded,
-4 forced-identity failure (mirror antisymmetry or kernel mirror stability),
-5 certification failure (modular ranks that keep disagreeing or a kernel
-that fails its exact membership check).
+Exit status taxonomy: 0 success, 2 usage error (also an unknown algebra
+label and an input or output path that cannot be read or written),
+3 resource cap exceeded, 4 forced-identity failure (mirror antisymmetry or
+kernel mirror stability), 5 certification failure (modular ranks that keep
+disagreeing or a kernel that fails its exact membership check), 6 solver
+divergence (``varsolve`` backtracking cannot lower the energy).
+Every failure prints one message line on stderr.  Statuses 4 and 3 from
+``verify`` are verdicts; every other failure status comes from the one
+table ``EXIT_STATUS``.
 The nilpotency audit is informational and never gates the exit status.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -37,6 +43,7 @@ from .varsolve import (
     FieldConfig,
     LatticeBundle,
     SolverConfig,
+    SolverDivergence,
     Weights,
     cartan_residual,
     certify_compatible_pair,
@@ -44,22 +51,41 @@ from .varsolve import (
     random_bundle_and_config,
 )
 
+EXIT_USAGE = 2
 EXIT_RESOURCE_CAP = 3
 EXIT_FORCED_IDENTITY = 4
 EXIT_CERTIFICATION = 5
+EXIT_SOLVER_DIVERGENCE = 6
 POSITIVE_INT = click.IntRange(min=1)
 NON_NEGATIVE_INT = click.IntRange(min=0)
 
+# (exception type, exit status, message prefix); the first matching row
+# wins.  Click reports its own usage errors, also with status 2.
+EXIT_STATUS = (
+    (CartanError, EXIT_USAGE, "Error: "),
+    (OSError, EXIT_USAGE, "Error: "),
+    (ResourceCapExceeded, EXIT_RESOURCE_CAP, ""),
+    (CertificationError, EXIT_CERTIFICATION, "certification failed: "),
+    (SolverDivergence, EXIT_SOLVER_DIVERGENCE, "solver diverged: "),
+)
 
-def _load_algebra(label: str):
-    try:
-        CartanDatum.from_label(label)
-    except CartanError as exc:
-        raise click.UsageError(str(exc)) from exc
-    return algebra(label)
+
+class _ErrorBoundary(click.Group):
+    """Command group that ends every failure in ``EXIT_STATUS`` with its
+    status and one stderr line; nothing is written to stdout."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click exits 1 quietly when stdout is closed early
+        except tuple(row[0] for row in EXIT_STATUS) as exc:
+            status, prefix = next((s, p) for t, s, p in EXIT_STATUS if isinstance(exc, t))
+            click.echo(f"{prefix}{exc}", err=True)
+            sys.exit(status)
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 @click.option("--max-dim", type=POSITIVE_INT, default=10_000_000, show_default=True,
               help="Cap on symmetric-power basis sizes.")
 @click.pass_context
@@ -80,7 +106,7 @@ def lie() -> None:
               help="Also write the full serialized bracket table to this path.")
 def lie_info(label: str, out_path: str | None, table_path: str | None) -> None:
     """Dimension, root count, Killing determinant sign, Jacobi verdict."""
-    alg = _load_algebra(label)
+    alg = algebra(label)
     body = {
         "algebra": alg.label,
         "dim": alg.dim,
@@ -98,15 +124,10 @@ def lie_info(label: str, out_path: str | None, table_path: str | None) -> None:
             json.dump(serialize_table(alg), fh, sort_keys=True, indent=1)
 
 
-def _certification_failed(exc: CertificationError) -> None:
-    click.echo(f"certification failed: {exc}", err=True)
-    sys.exit(EXIT_CERTIFICATION)
-
-
 def _lambda_option(alg, spec: str):
     try:
         return parse_lambda_spec(alg, spec)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
 
@@ -123,18 +144,14 @@ def _lambda_option(alg, spec: str):
 def matrix(ctx, label: str, k: int, variant: str, lam_spec: str,
            out_path: str | None, mm_path: str | None) -> None:
     """Assemble a Spencer operator matrix."""
-    alg = _load_algebra(label)
+    alg = algebra(label)
     cap = ctx.obj["max_dim"]
-    try:
-        if variant == "classical":
-            mat = delta_classical(alg, k, cap)
-        else:
-            lam = _lambda_option(alg, lam_spec)
-            formula = "symmetrized" if variant == "constrained" else "equivalent"
-            mat = delta_constrained(alg, lam, k, cap, formula=formula)
-    except ResourceCapExceeded as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_RESOURCE_CAP)
+    if variant == "classical":
+        mat = delta_classical(alg, k, cap)
+    else:
+        lam = _lambda_option(alg, lam_spec)
+        formula = "symmetrized" if variant == "constrained" else "equivalent"
+        mat = delta_constrained(alg, lam, k, cap, formula=formula)
     body = {
         "algebra": alg.label,
         "variant": mat.variant,
@@ -170,15 +187,9 @@ def matrix(ctx, label: str, k: int, variant: str, lam_spec: str,
 def kernel(ctx, label: str, k: int, lam_spec: str, out_path: str | None,
            csv_path: str | None, basis: bool, decompose: bool) -> None:
     """Exact nullspace of the constraint-coupled operator."""
-    alg = _load_algebra(label)
+    alg = algebra(label)
     lam = _lambda_option(alg, lam_spec)
-    try:
-        kb, cert = kernel_of_constrained(alg, lam, k, ctx.obj["max_dim"])
-    except ResourceCapExceeded as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_RESOURCE_CAP)
-    except CertificationError as exc:
-        _certification_failed(exc)
+    kb, cert = kernel_of_constrained(alg, lam, k, ctx.obj["max_dim"])
     body = {
         "algebra": alg.label,
         "k": k,
@@ -241,7 +252,7 @@ def verify(ctx, label: str, lam_spec: str, k_min: int, k_max: int,
     """
     if k_min > k_max:
         raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
-    alg = _load_algebra(label)
+    alg = algebra(label)
     lam = _lambda_option(alg, lam_spec)
     cap = ctx.obj["max_dim"]
     audits = [{"kind": "generator-formula-agreement",
@@ -263,8 +274,6 @@ def verify(ctx, label: str, lam_spec: str, k_min: int, k_max: int,
         except ResourceCapExceeded as exc:
             audits.append({"kind": "kernel-mirror-stability", "k": k, "skipped": str(exc)})
             forced_capped = True
-        except CertificationError as exc:
-            _certification_failed(exc)
         try:
             nil = nilpotency_audit(alg, lam, k, cap)
             audits.append({"kind": "nilpotency", **nil})
@@ -301,16 +310,10 @@ def verify(ctx, label: str, lam_spec: str, k_min: int, k_max: int,
 def cohomology(ctx, torus_dim: int, subdivisions: int, label: str, k: int,
                lam_spec: str, out_path: str | None, csv_path: str | None) -> None:
     """Degenerate-complex cohomology over a cubical torus."""
-    alg = _load_algebra(label)
+    alg = algebra(label)
     lam = _lambda_option(alg, lam_spec)
     complex_ = CellComplex.torus(torus_dim, subdivisions)
-    try:
-        rep = degenerate_cohomology(alg, lam, k, complex_, cap=ctx.obj["max_dim"])
-    except ResourceCapExceeded as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_RESOURCE_CAP)
-    except CertificationError as exc:
-        _certification_failed(exc)
+    rep = degenerate_cohomology(alg, lam, k, complex_, cap=ctx.obj["max_dim"])
     body = rep.as_dict()
     manifest = RunManifest(
         "spencer-cohomology",
@@ -336,11 +339,8 @@ def cohomology(ctx, torus_dim: int, subdivisions: int, label: str, k: int,
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 def tension(label: str, h11: int, kernel_dim: int | None, out_path: str | None) -> None:
     """Dimension-tension verdict from the minimal-irrep and h11 bounds."""
-    try:
-        CartanDatum.from_label(label)
-        rep = tension_report(label, h11, kernel_dim)
-    except (CartanError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    # The datum checks the label and gives the canonical one, e.g. E7 for " e7".
+    rep = tension_report(CartanDatum.from_label(label).label, h11, kernel_dim)
     manifest = RunManifest(
         "tension", {"algebra": label, "h11": h11, "kernel_dim": kernel_dim}, algebra=label
     )
@@ -354,14 +354,22 @@ def _config_section(cfg: dict, key: str, default: dict) -> dict:
     return section
 
 
-def _config_int(section: dict, key: str, default: int, config_path: str) -> int:
-    """An integer config field; a float, bool, string or null exits 2."""
+def _config_int(section: dict, key: str, default: int, config_path: str,
+                minimum: int) -> int:
+    """An integer config field of at least minimum; anything else exits 2."""
     value = section.get(key, default)
-    if type(value) is int:
-        return value
-    kind = "non-integer" if isinstance(value, float) else "non-numeric"
-    raise click.UsageError(f"config {config_path} has a {kind} field {key!r}: "
-                           f"{json.dumps(value)}; expected a JSON integer")
+    if type(value) is not int:
+        kind = "non-integer" if isinstance(value, float) else "non-numeric"
+        raise click.UsageError(f"config {config_path} has a {kind} field {key!r}: "
+                               f"{json.dumps(value)}; expected a JSON integer")
+    _config_range(value >= minimum, config_path, key, value, f"an integer >= {minimum}")
+    return value
+
+
+def _config_range(ok: bool, config_path: str, key: str, value, expected: str) -> None:
+    if not ok:
+        raise click.UsageError(f"config {config_path} has an out-of-range field {key!r}: "
+                               f"{json.dumps(value)}; expected {expected}")
 
 
 @main.command()
@@ -380,16 +388,16 @@ def varsolve(config_path: str, trace_path: str | None, json_path: str | None) ->
     if not isinstance(cfg, dict):
         raise click.UsageError(f"config {config_path} must hold a JSON object")
     label = str(cfg.get("algebra", "A1"))
-    alg = _load_algebra(label)
+    alg = algebra(label)
     lattice = _config_section(cfg, "lattice", {})
     wcfg = _config_section(cfg, "weights", {})
     scfg = _config_section(cfg, "solver", {})
     omega_cfg = _config_section(cfg, "omega", {"mode": "random", "scale": 0.3})
     zero_omega = omega_cfg.get("mode") == "zero"
-    d = _config_int(lattice, "d", 2, config_path)
-    n = _config_int(lattice, "n", 4, config_path)
-    seed = _config_int(cfg, "seed", 0, config_path)
-    max_iters = _config_int(scfg, "max_iters", 2000, config_path)
+    d = _config_int(lattice, "d", 2, config_path, minimum=1)
+    n = _config_int(lattice, "n", 4, config_path, minimum=1)
+    seed = _config_int(cfg, "seed", 0, config_path, minimum=0)
+    max_iters = _config_int(scfg, "max_iters", 2000, config_path, minimum=0)
     try:
         weights = Weights(
             alpha1=float(wcfg.get("alpha1", 1.0)),
@@ -397,27 +405,35 @@ def varsolve(config_path: str, trace_path: str | None, json_path: str | None) ->
             alpha3=float(wcfg.get("alpha3", 1.0)),
             bound_c=float(wcfg.get("C", 1.0)),
         )
-        solver = SolverConfig(
-            step=float(scfg.get("step", 0.1)),
-            max_iters=max_iters,
-            tol=float(scfg.get("tol", 1e-8)),
-        )
+        step = float(scfg.get("step", 0.1))
+        tol = float(scfg.get("tol", 1e-8))
         lam_scale = float(cfg.get("lambda_scale", 0.5))
         omega_scale = float(omega_cfg.get("scale", 0.3))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise click.UsageError(f"config {config_path} has a non-numeric field: {exc}") from exc
-    if zero_omega:
-        bundle = LatticeBundle(d, n, alg)
-        import numpy as np
+    _config_range(math.isfinite(step) and step > 0, config_path, "step", step,
+                  "a finite number > 0")
+    _config_range(math.isfinite(tol) and tol >= 0, config_path, "tol", tol,
+                  "a finite number >= 0")
+    solver = SolverConfig(step=step, max_iters=max_iters, tol=tol)
+    # Not a module-level import: loading numpy ahead of the engine modules
+    # raised the benchmark workloads' peak RSS by about 0.1 MiB.
+    import numpy as np
 
-        rng = np.random.default_rng(seed)
-        config0 = FieldConfig(lam_scale * rng.standard_normal((bundle.n_nodes, alg.dim)))
-    else:
-        bundle, config0 = random_bundle_and_config(
-            alg, d, n, seed, omega_scale=omega_scale, lam_scale=lam_scale
-        )
-    final, trace = minimize(bundle, config0, weights, solver)
-    certs = certify_compatible_pair(bundle, final)
+    # Non-finite energies end in SolverDivergence or show in the body, not
+    # as numpy warnings on stderr.
+    with np.errstate(all="ignore"):
+        if zero_omega:
+            bundle = LatticeBundle(d, n, alg)
+            rng = np.random.default_rng(seed)
+            config0 = FieldConfig(lam_scale * rng.standard_normal((bundle.n_nodes, alg.dim)))
+        else:
+            bundle, config0 = random_bundle_and_config(
+                alg, d, n, seed, omega_scale=omega_scale, lam_scale=lam_scale
+            )
+        final, trace = minimize(bundle, config0, weights, solver)
+        certs = certify_compatible_pair(bundle, final)
+        residual = cartan_residual(bundle, final)
     last = trace[-1]
     body = {
         "algebra": alg.label,
@@ -428,7 +444,7 @@ def varsolve(config_path: str, trace_path: str | None, json_path: str | None) ->
         "final": {
             "energy": last.breakdown.as_dict(),
             "grad_norm": last.grad_norm,
-            "cartan_residual": cartan_residual(bundle, final),
+            "cartan_residual": residual,
         },
         "start": {"energy": trace[0].breakdown.as_dict()},
         "monotone": all(

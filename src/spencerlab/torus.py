@@ -85,7 +85,7 @@ class CellComplex:
                 cols[c][r] = v
             else:
                 cols[c].pop(r, None)
-        return [[(r, Fraction(v)) for r, v in col.items()] for col in cols]
+        return [list(col.items()) for col in cols]
 
     def betti_numbers(self) -> list[int]:
         """de Rham Betti numbers over the rationals, by exact ranks."""
@@ -288,32 +288,19 @@ def phi_deg(
     (representative cochain, class coordinates).  Non-closed input and
     values outside the kernel span are rejected.
     """
-    kernel_reps = [dict(el.terms) for el in kb.basis]
+    kernel_coords = Eliminator((el.terms for el in kb.basis), track=True)
     form: dict[int, Fraction] = {}
     for cell, el in c.values.items():
-        coeffs = _coords_in_basis(kernel_reps, dict(el.terms))
-        if coeffs is None:
+        combo = kernel_coords.solve(el.terms)
+        if combo is None:
             raise ValueError(f"cell {cell} carries a value outside the kernel span")
-        total = sum(coeffs, Fraction(0))
+        total = sum(combo.values(), Fraction(0))
         if total:
             form[cell] = total
     classes = DeRhamClasses(complex_, c.p)
     if not classes.is_cocycle(form):
         raise ValueError("cochain is not closed in the degenerate complex")
     return form, classes.class_coordinates(form)
-
-
-def _coords_in_basis(
-    basis: list[dict[tuple, Fraction]], target: dict[tuple, Fraction]
-) -> list[Fraction] | None:
-    """Solve target = sum c_i basis_i exactly; None when outside the span."""
-    combo = Eliminator(basis, track=True).solve(target)
-    if combo is None:
-        return None
-    out = [Fraction(0)] * len(basis)
-    for i, v in combo.items():
-        out[i] = v
-    return out
 
 
 def euler_characteristic(dims: list[int]) -> int:

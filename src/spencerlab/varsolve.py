@@ -225,7 +225,8 @@ def minimize(
             if eb_new.total <= eb.total - solver.sufficient_decrease * step * gnorm * gnorm:
                 break
             step *= solver.backtrack_factor
-            if step < solver.min_step:
+            # "not >=" so that a NaN step ends the search too
+            if not step >= solver.min_step:
                 raise SolverDivergence(
                     f"backtracking exhausted at iteration {it}: energy "
                     f"{eb.total} cannot be decreased along the gradient"

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spencerlab import linalg
 from spencerlab.cli import main
@@ -376,3 +379,169 @@ def test_schema_validation_rejects_malformed():
                 "body": {"algebra": "A1"},
             }
         )
+
+
+def _message_line(result) -> str:
+    """The one stderr line saying why a command failed.
+
+    Click's usage hint around a status-2 message (``Usage:`` and ``Try ...``
+    lines) is not a message line.
+    """
+    assert "Traceback" not in result.output
+    lines = [ln for ln in result.stderr.splitlines()
+             if ln and not ln.startswith(("Usage: ", "Try '"))]
+    assert len(lines) == 1, result.stderr
+    return lines[0]
+
+
+def _varsolve(runner, directory, cfg_text):
+    cfg_path = directory / "cfg.json"
+    cfg_path.write_text(cfg_text)
+    return runner.invoke(main, ["varsolve", "--config", str(cfg_path)])
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"lattice": {"d": 0}}', "'d': 0"),
+        ('{"lattice": {"d": -1}}', "'d': -1"),
+        ('{"lattice": {"n": 0}}', "'n': 0"),
+        ('{"seed": -1}', "'seed': -1"),
+        ('{"solver": {"max_iters": -1}}', "'max_iters': -1"),
+        ('{"solver": {"step": -1}}', "'step': -1.0"),
+        ('{"solver": {"step": 0}}', "'step': 0.0"),
+        ('{"solver": {"step": NaN}}', "'step': NaN"),
+        ('{"solver": {"step": "nan"}}', "'step': NaN"),
+        ('{"solver": {"step": Infinity}}', "'step': Infinity"),
+        ('{"solver": {"tol": -1e-8}}', "'tol': -1e-08"),
+        ('{"solver": {"tol": "inf"}}', "'tol': Infinity"),
+        ('{"solver": {"tol": NaN}}', "'tol': NaN"),
+    ],
+)
+def test_varsolve_out_of_range_config_exits_2(runner, tmp_path, text, field):
+    result = _varsolve(runner, tmp_path, text)
+    assert result.exit_code == 2, result.output
+    line = _message_line(result)
+    assert line.startswith("Error: config ") and f"out-of-range field {field}" in line, line
+
+
+def test_varsolve_huge_integer_field_exits_2(runner, tmp_path):
+    result = _varsolve(runner, tmp_path, '{"lambda_scale": 1' + "0" * 400 + "}")
+    assert result.exit_code == 2, result.output
+    assert "too large to convert to float" in _message_line(result)
+
+
+def test_varsolve_divergence_exits_6(runner, tmp_path, recwarn):
+    result = _varsolve(runner, tmp_path, '{"lambda_scale": 1e200, "solver": {"max_iters": 50}}')
+    assert result.exit_code == 6, result.output
+    assert not result.stdout
+    line = _message_line(result)
+    assert line.startswith("solver diverged: backtracking exhausted at iteration 1"), line
+    # numpy's overflow warnings would print on stderr outside pytest
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--algebra", "A1", "--k", "1", "--lambda", "preset:cartan1", "--out"],
+        ["kernel", "--algebra", "A1", "--k", "1", "--lambda", "preset:cartan1", "--csv"],
+        ["matrix", "--algebra", "A1", "--k", "1", "--out"],
+        ["lie", "info", "--algebra", "A1", "--out"],
+    ],
+)
+def test_output_into_missing_directory_exits_2(runner, tmp_path, argv):
+    missing = tmp_path / "no-such-dir" / "out"
+    result = runner.invoke(main, argv + [str(missing)])
+    assert result.exit_code == 2, result.output
+    line = _message_line(result)
+    assert line == f"Error: [Errno 2] No such file or directory: {str(missing)!r}", line
+
+
+def test_unknown_label_and_missing_lambda_file_exit_2_with_one_line(runner, tmp_path):
+    result = runner.invoke(main, ["kernel", "--algebra", "Q3", "--k", "1", "--lambda",
+                                  "preset:zero"])
+    assert result.exit_code == 2
+    assert _message_line(result) == "Error: cannot parse algebra label 'Q3'"
+    result = runner.invoke(main, ["kernel", "--algebra", "A1", "--k", "1", "--lambda",
+                                  f"file:{tmp_path / 'absent.json'}"])
+    assert result.exit_code == 2
+    assert _message_line(result).startswith("Error: [Errno 2] No such file or directory")
+
+
+def test_closed_stdout_keeps_the_quiet_exit_1(runner, monkeypatch):
+    # A BrokenPipeError is an OSError, but click's own handling stays.
+    import spencerlab.cli as cli_mod
+
+    def closed_stdout(report, out_path):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli_mod, "write_report", closed_stdout)
+    result = runner.invoke(main, ["lie", "info", "--algebra", "A1"])
+    assert result.exit_code == 1
+    assert not result.stderr
+
+
+def test_tension_reports_the_canonical_label(runner):
+    rep = _report(runner.invoke(main, ["tension", "--algebra", " e7", "--h11", "56"]))
+    assert rep["body"]["algebra"] == "E7"
+    assert rep["body"]["verdict"] == "forced_match"
+
+
+# Adversarial inputs: every run ends in a documented status with one message
+# line.  Sized so that the whole property suite takes seconds.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.none(), max_size=1),
+)
+_NUMBER = st.one_of(
+    st.floats(),  # NaN, +-inf, negative and huge values included
+    st.integers(-3, 3),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0.5"]),
+    _JUNK,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=st.fixed_dictionaries({
+    "lattice": st.fixed_dictionaries({"d": st.integers(-1, 3), "n": st.integers(-1, 3)}),
+    "seed": st.one_of(st.integers(-1, 5), _NUMBER),
+    "solver": st.fixed_dictionaries({
+        "max_iters": st.integers(-1, 20), "step": _NUMBER, "tol": _NUMBER,
+    }),
+    "weights": st.fixed_dictionaries({"alpha1": _NUMBER, "alpha3": _NUMBER, "C": _NUMBER}),
+    "lambda_scale": _NUMBER,
+    "omega": st.fixed_dictionaries({"mode": st.sampled_from(["random", "zero"]),
+                                    "scale": _NUMBER}),
+}))
+def test_varsolve_adversarial_configs_end_in_a_documented_status(tmp_path_factory, cfg):
+    result = _varsolve(CliRunner(), tmp_path_factory.mktemp("cfg"), json.dumps(cfg))
+    assert result.exit_code in (0, 2, 6), (result.output, result.exception)
+    if result.exit_code:
+        _message_line(result)
+    else:
+        validate_report(json.loads(result.stdout))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.one_of(
+    st.lists(st.one_of(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=2), _NUMBER),
+             min_size=3, max_size=3),
+    st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2), max_size=4),
+    _NUMBER,
+    st.binary(max_size=8),
+))
+def test_lambda_file_adversarial_json_ends_in_a_documented_status(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("lam") / "lam.json"
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data))
+    result = CliRunner().invoke(
+        main, ["kernel", "--algebra", "A1", "--k", "2", "--lambda", f"file:{path}"]
+    )
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    if result.exit_code:
+        _message_line(result)
+    else:
+        validate_report(json.loads(result.stdout))

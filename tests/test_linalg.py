@@ -28,14 +28,17 @@ from spencerlab.presets import parse_lambda_spec
 
 
 def _random_matrix(rng, nrows, ncols, rank):
-    """Random rational matrix of known rank (product of full-rank factors)."""
-    left = [[Q(rng.randint(-3, 3)) for _ in range(rank)] for _ in range(nrows)]
-    right = [[Q(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(rank)]
-    rows = [
-        [sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(ncols)]
+    """Random rational matrix of known rank (product of full-rank factors).
+
+    The factors are multiplied in integers; only the product entries are
+    Fractions, the form ``rref_dense`` takes.
+    """
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    return [
+        [Q(sum(left[i][k] * right[k][j] for k in range(rank))) for j in range(ncols)]
         for i in range(nrows)
     ]
-    return rows
 
 
 def _rank(rows):
@@ -121,7 +124,7 @@ def test_certificate_large_path_forced():
     assert len(set(cert.modular_ranks)) == 1
     assert cert.exact_confirmed
     assert cert.rank + len(vectors) == ncols
-    assert verify_kernel_vectors(cols, vectors)
+    assert verify_kernel_vectors(icols, vectors)
 
 
 def test_same_subspace_detects_difference():

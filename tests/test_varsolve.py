@@ -165,6 +165,13 @@ def test_divergence_is_reported(a1):
         minimize(bundle, config, Weights(), bad)
 
 
+def test_nan_step_raises_instead_of_hanging(a1):
+    # NaN compares false both ways, so a "step < min_step" guard never fires
+    bundle, config = random_bundle_and_config(a1, 2, 2, seed=9)
+    with pytest.raises(SolverDivergence):
+        minimize(bundle, config, Weights(), SolverConfig(step=float("nan"), max_iters=10))
+
+
 def test_translation_invariance(a1):
     # translating omega and lambda together leaves the energy unchanged
     bundle, config = random_bundle_and_config(a1, 2, 4, seed=12)
