@@ -47,6 +47,7 @@ from .varsolve import (
     Weights,
     cartan_residual,
     certify_compatible_pair,
+    guard_lattice_size,
     minimize,
     random_bundle_and_config,
 )
@@ -87,7 +88,7 @@ class _ErrorBoundary(click.Group):
 
 @click.group(cls=_ErrorBoundary)
 @click.option("--max-dim", type=POSITIVE_INT, default=10_000_000, show_default=True,
-              help="Cap on symmetric-power basis sizes.")
+              help="Cap on symmetric-power basis sizes and varsolve lattice entries.")
 @click.pass_context
 def main(ctx: click.Context, max_dim: int) -> None:
     """Spencer operator computations over exact rationals."""
@@ -378,7 +379,8 @@ def _config_range(ok: bool, config_path: str, key: str, value, expected: str) ->
               help="Per-iteration energy breakdown CSV.")
 @click.option("--json", "json_path", type=click.Path(writable=True), default=None,
               help="Write the JSON report here instead of stdout.")
-def varsolve(config_path: str, trace_path: str | None, json_path: str | None) -> None:
+@click.pass_context
+def varsolve(ctx, config_path: str, trace_path: str | None, json_path: str | None) -> None:
     """Minimize the penalized energy for a configured lattice instance."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -415,6 +417,11 @@ def varsolve(config_path: str, trace_path: str | None, json_path: str | None) ->
                   "a finite number > 0")
     _config_range(math.isfinite(tol) and tol >= 0, config_path, "tol", tol,
                   "a finite number >= 0")
+    for key, value in (("alpha1", weights.alpha1), ("alpha2", weights.alpha2),
+                       ("alpha3", weights.alpha3), ("C", weights.bound_c),
+                       ("lambda_scale", lam_scale), ("scale", omega_scale)):
+        _config_range(math.isfinite(value), config_path, key, value, "a finite number")
+    guard_lattice_size(d, n, alg.dim, ctx.obj["max_dim"])
     solver = SolverConfig(step=step, max_iters=max_iters, tol=tol)
     # Not a module-level import: loading numpy ahead of the engine modules
     # raised the benchmark workloads' peak RSS by about 0.1 MiB.

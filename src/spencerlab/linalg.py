@@ -50,8 +50,9 @@ order, so the kernel vectors do not change either.
 Either way every returned kernel vector is re-multiplied through the matrix
 and checked against zero, in integers, before the result is handed back; a
 failed check or a rank that cannot be certified raises
-:class:`CertificationError`.  ``rref_dense`` is the one dense exact routine,
-for small systems such as matrix inverses.
+:class:`CertificationError`.  ``rref_dense``, a dense exact Fraction
+elimination, has no caller in the package: the tests keep it as an
+independent reference for ranks, spans and inverses.
 """
 
 from __future__ import annotations

@@ -20,14 +20,7 @@ DEFAULT_BASIS_CAP = 10_000_000
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A symmetric-power basis would exceed the configured size cap."""
-
-    def __init__(self, n: int, k: int, size: int, cap: int):
-        super().__init__(
-            f"Sym^{k} basis over a dimension-{n} algebra has {size} monomials, "
-            f"exceeding the cap of {cap}"
-        )
-        self.n, self.k, self.size, self.cap = n, k, size, cap
+    """A basis or array would exceed the configured size cap."""
 
 
 def sym_dim(n: int, k: int) -> int:
@@ -40,7 +33,10 @@ def sym_dim(n: int, k: int) -> int:
 def guard_sym_dim(n: int, k: int, cap: int = DEFAULT_BASIS_CAP) -> int:
     size = sym_dim(n, k)
     if size > cap:
-        raise ResourceCapExceeded(n, k, size, cap)
+        raise ResourceCapExceeded(
+            f"Sym^{k} basis over a dimension-{n} algebra has {size} monomials, "
+            f"exceeding the cap of {cap}"
+        )
     return size
 
 

@@ -20,10 +20,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chevalley import LieAlgebraTable
+from .sym import ResourceCapExceeded
 
 
 class SolverDivergence(RuntimeError):
     """Energy increased and backtracking hit the minimum step size."""
+
+
+def guard_lattice_size(d: int, n: int, dim: int, cap: int) -> None:
+    """Check d n^d dim, the entry count of a lattice's omega array, against cap.
+
+    Call it before building a ``LatticeBundle``, which allocates all of it.
+    """
+    # For n >= 2, n^d > cap once d exceeds cap's bit length; the power of a
+    # huge d is then never formed.
+    size = d * n**d * dim if n == 1 or d <= cap.bit_length() else None
+    if size is None or size > cap:
+        shown = f"more than {cap}" if size is None else str(size)
+        raise ResourceCapExceeded(
+            f"a d={d}, n={n} lattice over a dimension-{dim} algebra has {shown} "
+            f"omega entries (d n^d dim), exceeding the cap of {cap}"
+        )
 
 
 @dataclass

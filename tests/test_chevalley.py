@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ import pytest
 
 from spencerlab.cartan import CartanDatum, build_root_system
 from spencerlab.chevalley import (
+    ChevalleyError,
     algebra,
     bracket,
     build_chevalley_basis,
@@ -14,6 +16,7 @@ from spencerlab.chevalley import (
     coadjoint,
     jacobi_residual,
     killing_determinant_sign,
+    prove_jacobi,
     serialize_table,
 )
 from spencerlab.sym import SymElement
@@ -42,11 +45,12 @@ def test_repeated_element_jacobi_trivial(g2):
         assert jacobi_residual(g2, a, a, b) == {}
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C3", "D4", "G2", "F4"])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C3", "D4", "G2", "F4", "E6", "E7"])
 def test_jacobi_exhaustive_small(label):
     alg = algebra(label)
     assert alg.jacobi_checked
-    # re-run the check independently of construction
+    assert prove_jacobi(alg) == 2 * alg.rank
+    # the all-triples oracle agrees with the generator proof of construction
     n_triples = check_jacobi(alg)
     d = alg.dim
     assert n_triples == d * (d - 1) * (d - 2) // 6
@@ -191,3 +195,71 @@ def test_construction_without_verify_flag():
     alg = build_chevalley_basis(rs, verify=False)
     assert not alg.jacobi_checked
     check_jacobi(alg)
+    prove_jacobi(alg)
+    assert not alg.jacobi_checked
+
+
+def _edited(label, edit):
+    """An unverified table for label, with edit(table, rows) applied to a copy of its rows."""
+    table = build_chevalley_basis(build_root_system(CartanDatum.from_label(label)), verify=False)
+    rows = [dict(row) for row in table.bracket_rows]
+    edit(table, rows)
+    return dataclasses.replace(table, bracket_rows=tuple(rows))
+
+
+def _root_root_pairs(table):
+    """(a, b) with a < b both positive root vectors and [x_a, x_b] != 0."""
+    es = range(table.e_index(0), table.e_index(table.n_positive))
+    return [(a, b) for a in es for b in sorted(table.bracket_rows[a]) if a < b and b in es]
+
+
+@pytest.mark.parametrize(
+    "label, which", [("A2", 0), ("G2", 0), ("G2", 3), ("F4", 0), ("F4", 17), ("E7", 40)]
+)
+def test_root_root_sign_flip_is_caught(label, which):
+    def flip(table, rows):
+        a, b = _root_root_pairs(table)[which]
+        rows[a][b] = tuple((c, -v) for c, v in rows[a][b])
+        rows[b][a] = tuple((c, -v) for c, v in rows[b][a])
+
+    table = _edited(label, flip)
+    with pytest.raises(ChevalleyError, match="Jacobi identity fails"):
+        prove_jacobi(table)
+    if label != "E7":  # the oracle agrees; on E7 it takes about a second
+        with pytest.raises(ChevalleyError, match="Jacobi identity fails"):
+            check_jacobi(table)
+
+
+def test_one_sided_edit_breaks_antisymmetry():
+    def one_sided(table, rows):
+        a, b = _root_root_pairs(table)[0]
+        rows[a][b] = tuple((c, 2 * v) for c, v in rows[a][b])
+
+    with pytest.raises(ChevalleyError, match="not antisymmetric on basis pair"):
+        prove_jacobi(_edited("A2", one_sided))
+
+    def self_bracket(table, rows):
+        rows[0][0] = ((0, 1),)
+
+    with pytest.raises(ChevalleyError, match=r"\[x_0, x_0\] is not zero"):
+        prove_jacobi(_edited("A2", self_bracket))
+
+
+@pytest.mark.parametrize("label", ["A2", "G2"])
+def test_deleted_generator_bracket_breaks_generation(label):
+    # e_(alpha_1 + alpha_2) is [e_1, e_2] and nothing else of the form [e_i, e_(gamma - alpha_i)]
+    def delete(table, rows):
+        a, b = _root_root_pairs(table)[0]
+        del rows[a][b], rows[b][a]
+
+    with pytest.raises(ChevalleyError, match="do not generate the algebra"):
+        prove_jacobi(_edited(label, delete))
+
+
+def test_deleted_cartan_part_breaks_generation():
+    def delete(table, rows):
+        e, f = table.e_index(0), table.f_index(0)
+        del rows[e][f], rows[f][e]
+
+    with pytest.raises(ChevalleyError, match="not certified to span the Cartan subalgebra"):
+        prove_jacobi(_edited("A2", delete))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import itertools
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -416,6 +417,12 @@ def _varsolve(runner, directory, cfg_text):
         ('{"solver": {"tol": -1e-8}}', "'tol': -1e-08"),
         ('{"solver": {"tol": "inf"}}', "'tol': Infinity"),
         ('{"solver": {"tol": NaN}}', "'tol': NaN"),
+        ('{"weights": {"alpha1": "inf"}}', "'alpha1': Infinity"),
+        ('{"weights": {"alpha2": NaN}}', "'alpha2': NaN"),
+        ('{"weights": {"alpha3": "inf"}, "solver": {"max_iters": 0}}', "'alpha3': Infinity"),
+        ('{"weights": {"C": -Infinity}}', "'C': -Infinity"),
+        ('{"lambda_scale": "1e400"}', "'lambda_scale': Infinity"),
+        ('{"omega": {"scale": NaN}}', "'scale': NaN"),
     ],
 )
 def test_varsolve_out_of_range_config_exits_2(runner, tmp_path, text, field):
@@ -423,6 +430,25 @@ def test_varsolve_out_of_range_config_exits_2(runner, tmp_path, text, field):
     assert result.exit_code == 2, result.output
     line = _message_line(result)
     assert line.startswith("Error: config ") and f"out-of-range field {field}" in line, line
+
+
+@pytest.mark.parametrize(
+    "lattice, shown",
+    [({"d": 3, "n": 4}, "576"), ({"d": 10**30, "n": 2}, "more than 500"),
+     ({"d": 10**30, "n": 1}, str(3 * 10**30))],
+)
+def test_varsolve_lattice_over_the_cap_exits_3(runner, tmp_path, lattice, shown):
+    # d n^d dim omega entries on A1: 3 * 4^3 * 3 = 576 > 500
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lattice": lattice}))
+    result = runner.invoke(main, ["--max-dim", "500", "varsolve", "--config", str(cfg_path)])
+    assert result.exit_code == 3, result.output
+    assert not result.stdout
+    line = _message_line(result)
+    assert f"has {shown} omega entries" in line and line.endswith("the cap of 500"), line
+    cfg_path.write_text(json.dumps({"lattice": {"d": 3, "n": 4}, "solver": {"max_iters": 0}}))
+    result = runner.invoke(main, ["--max-dim", "576", "varsolve", "--config", str(cfg_path)])
+    assert result.exit_code == 0, result.output
 
 
 def test_varsolve_huge_integer_field_exits_2(runner, tmp_path):
@@ -502,6 +528,13 @@ _NUMBER = st.one_of(
 )
 
 
+def _is_finite_number(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @settings(max_examples=60, deadline=None)
 @given(cfg=st.fixed_dictionaries({
     "lattice": st.fixed_dictionaries({"d": st.integers(-1, 3), "n": st.integers(-1, 3)}),
@@ -509,7 +542,8 @@ _NUMBER = st.one_of(
     "solver": st.fixed_dictionaries({
         "max_iters": st.integers(-1, 20), "step": _NUMBER, "tol": _NUMBER,
     }),
-    "weights": st.fixed_dictionaries({"alpha1": _NUMBER, "alpha3": _NUMBER, "C": _NUMBER}),
+    "weights": st.fixed_dictionaries({"alpha1": _NUMBER, "alpha2": _NUMBER,
+                                      "alpha3": _NUMBER, "C": _NUMBER}),
     "lambda_scale": _NUMBER,
     "omega": st.fixed_dictionaries({"mode": st.sampled_from(["random", "zero"]),
                                     "scale": _NUMBER}),
@@ -517,6 +551,9 @@ _NUMBER = st.one_of(
 def test_varsolve_adversarial_configs_end_in_a_documented_status(tmp_path_factory, cfg):
     result = _varsolve(CliRunner(), tmp_path_factory.mktemp("cfg"), json.dumps(cfg))
     assert result.exit_code in (0, 2, 6), (result.output, result.exception)
+    real_fields = [*cfg["weights"].values(), cfg["lambda_scale"], cfg["omega"]["scale"]]
+    if not all(_is_finite_number(v) for v in real_fields):
+        assert result.exit_code == 2, result.output
     if result.exit_code:
         _message_line(result)
     else:
