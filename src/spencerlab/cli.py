@@ -5,7 +5,8 @@ label and an input or output path that cannot be read or written),
 3 resource cap exceeded, 4 forced-identity failure (mirror antisymmetry or
 kernel mirror stability), 5 certification failure (modular ranks that keep
 disagreeing or a kernel that fails its exact membership check), 6 solver
-divergence (``varsolve`` backtracking cannot lower the energy).
+divergence (``varsolve`` backtracking cannot lower the energy, or the start
+has a non-finite energy or gradient norm).
 Every failure prints one message line on stderr.  Statuses 4 and 3 from
 ``verify`` are verdicts; every other failure status comes from the one
 table ``EXIT_STATUS``.
@@ -88,7 +89,8 @@ class _ErrorBoundary(click.Group):
 
 @click.group(cls=_ErrorBoundary)
 @click.option("--max-dim", type=POSITIVE_INT, default=10_000_000, show_default=True,
-              help="Cap on symmetric-power basis sizes and varsolve lattice entries.")
+              help="Cap on symmetric-power basis sizes, torus cell counts and varsolve "
+                   "lattice entries.")
 @click.pass_context
 def main(ctx: click.Context, max_dim: int) -> None:
     """Spencer operator computations over exact rationals."""
@@ -313,8 +315,9 @@ def cohomology(ctx, torus_dim: int, subdivisions: int, label: str, k: int,
     """Degenerate-complex cohomology over a cubical torus."""
     alg = algebra(label)
     lam = _lambda_option(alg, lam_spec)
-    complex_ = CellComplex.torus(torus_dim, subdivisions)
-    rep = degenerate_cohomology(alg, lam, k, complex_, cap=ctx.obj["max_dim"])
+    cap = ctx.obj["max_dim"]
+    complex_ = CellComplex.torus(torus_dim, subdivisions, cap)
+    rep = degenerate_cohomology(alg, lam, k, complex_, cap=cap)
     body = rep.as_dict()
     manifest = RunManifest(
         "spencer-cohomology",

@@ -23,6 +23,14 @@ class ResourceCapExceeded(RuntimeError):
     """A basis or array would exceed the configured size cap."""
 
 
+def checked_power(base: int, exp: int, cap: int) -> int | None:
+    """base**exp, or None when base >= 2 and exp exceeds cap's bit length.
+
+    The power is then above cap anyway, and a huge exp never forms it.
+    """
+    return None if base >= 2 and exp > cap.bit_length() else base**exp
+
+
 def sym_dim(n: int, k: int) -> int:
     """dim Sym^k of an n-dimensional space: C(n + k - 1, k)."""
     if n < 1 or k < 0:

@@ -27,7 +27,7 @@ from .linalg import (
     verify_kernel_vectors,
 )
 from .operators import DualVector, GeneratorImages, apply_delta, generator_images
-from .sym import DEFAULT_BASIS_CAP, SymElement
+from .sym import DEFAULT_BASIS_CAP, ResourceCapExceeded, SymElement, checked_power
 
 
 Cell = tuple[tuple[int, ...], tuple[int, ...]]  # (position, axes)
@@ -41,9 +41,17 @@ class CellComplex:
     index: dict[int, dict[Cell, int]] = field(repr=False)
 
     @classmethod
-    def torus(cls, d: int, n: int) -> "CellComplex":
+    def torus(cls, d: int, n: int, cap: int = DEFAULT_BASIS_CAP) -> "CellComplex":
+        """T^d with n subdivisions per axis; its (2n)^d cells are checked
+        against cap before any is built."""
         if d < 1 or n < 1:
             raise ValueError("torus needs dimension >= 1 and subdivisions >= 1")
+        size = checked_power(2 * n, d, cap)
+        if size is None or size > cap:
+            shown = f"more than {cap}" if size is None else str(size)
+            raise ResourceCapExceeded(
+                f"a d={d}, n={n} torus has {shown} cells ((2n)^d), exceeding the cap of {cap}"
+            )
         cells: dict[int, list[Cell]] = {}
         index: dict[int, dict[Cell, int]] = {}
         positions = sorted(product(range(n), repeat=d))

@@ -9,18 +9,27 @@ The (1,1)-obstruction penalty slot alpha2 is accepted in configurations but
 unused: the obstruction class it would weight has no computable definition
 at this scale.
 
+Layout: the n^d nodes are numbered in the lexicographic order of their
+positions, position (i_0, ..., i_{d-1}) being node sum_a i_a n^(d-1-a).
+Node v has the d out-edges v*d .. v*d + d - 1; edge v*d + axis runs from v
+one step up along axis, mod n.  ``LatticeBundle.tails`` and ``.heads``
+hold the endpoints of every edge.  ``torus.CellComplex.torus(d, n)`` uses
+the same order: edge e is its 1-cell ``cells[1][e]``, and the coboundary
+d_0 has -1 at tails[e] and +1 at heads[e] in row e.
+
 This module works in floating point; everything else in the package is
 exact.  Tolerances are explicit configuration values.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chevalley import LieAlgebraTable
-from .sym import ResourceCapExceeded
+from .sym import ResourceCapExceeded, checked_power
 
 
 class SolverDivergence(RuntimeError):
@@ -32,9 +41,8 @@ def guard_lattice_size(d: int, n: int, dim: int, cap: int) -> None:
 
     Call it before building a ``LatticeBundle``, which allocates all of it.
     """
-    # For n >= 2, n^d > cap once d exceeds cap's bit length; the power of a
-    # huge d is then never formed.
-    size = d * n**d * dim if n == 1 or d <= cap.bit_length() else None
+    nodes = checked_power(n, d, cap)
+    size = None if nodes is None else d * nodes * dim
     if size is None or size > cap:
         shown = f"more than {cap}" if size is None else str(size)
         raise ResourceCapExceeded(
@@ -45,39 +53,35 @@ def guard_lattice_size(d: int, n: int, dim: int, cap: int) -> None:
 
 @dataclass
 class LatticeBundle:
-    """Cubical torus lattice with a gauge field on directed edges."""
+    """Cubical torus lattice with a gauge field on directed edges.
+
+    ``tails[e]`` and ``heads[e]`` are the end nodes of edge e, in the layout
+    of the module docstring.
+    """
 
     d: int
     n: int
     alg: LieAlgebraTable
-    nodes: list[tuple[int, ...]] = field(repr=False, default_factory=list)
-    node_index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
-    edges: list[tuple[int, int, int]] = field(repr=False, default_factory=list)
     omega: np.ndarray = field(repr=False, default=None)  # (n_edges, dim)
+    tails: np.ndarray = field(init=False, repr=False)
+    heads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        from itertools import product
-
-        if not self.nodes:
-            self.nodes = sorted(product(range(self.n), repeat=self.d))
-            self.node_index = {p: i for i, p in enumerate(self.nodes)}
-            edges = []
-            for i, pos in enumerate(self.nodes):
-                for axis in range(self.d):
-                    head = list(pos)
-                    head[axis] = (head[axis] + 1) % self.n
-                    edges.append((i, self.node_index[tuple(head)], axis))
-            self.edges = edges
+        grid = np.arange(self.n**self.d).reshape((self.n,) * self.d)
+        self.tails = np.repeat(grid.ravel(), self.d)
+        self.heads = np.stack(
+            [np.roll(grid, -1, axis=a).ravel() for a in range(self.d)], axis=1
+        ).ravel()
         if self.omega is None:
-            self.omega = np.zeros((len(self.edges), self.alg.dim))
+            self.omega = np.zeros((self.n_edges, self.alg.dim))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.n**self.d
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
 
     def coadjoint_tensor(self) -> np.ndarray:
         """M[a][b, c] with (ad*_{x_a} mu)_b = sum_c M[a][b, c] mu_c."""
@@ -136,10 +140,8 @@ class EnergyBreakdown:
 
 
 def _edge_residuals(bundle: LatticeBundle, config: FieldConfig, mats: np.ndarray) -> np.ndarray:
-    tails = np.array([e[0] for e in bundle.edges])
-    heads = np.array([e[1] for e in bundle.edges])
-    lam_t = config.lam[tails]
-    lam_h = config.lam[heads]
+    lam_t = config.lam[bundle.tails]
+    lam_h = config.lam[bundle.heads]
     return lam_h - lam_t + np.einsum("ebc,ec->eb", mats, lam_t)
 
 
@@ -154,8 +156,7 @@ def energy(
         mats = bundle.edge_matrices()
     res = _edge_residuals(bundle, config, mats)
     main = float(np.sum(res * res))
-    tails = np.array([e[0] for e in bundle.edges])
-    pairings = np.einsum("eb,eb->e", config.lam[tails], bundle.omega)
+    pairings = np.einsum("eb,eb->e", config.lam[bundle.tails], bundle.omega)
     pen1 = float(np.sum(pairings * pairings))
     sup2 = float(np.max(config.lam * config.lam)) if config.lam.size else 0.0
     pen3 = max(0.0, sup2 - weights.bound_c)
@@ -178,8 +179,7 @@ def gradient(
     if mats is None:
         mats = bundle.edge_matrices()
     res = _edge_residuals(bundle, config, mats)
-    tails = np.array([e[0] for e in bundle.edges])
-    heads = np.array([e[1] for e in bundle.edges])
+    tails, heads = bundle.tails, bundle.heads
     grad = np.zeros_like(config.lam)
     np.add.at(grad, heads, 2.0 * res)
     back = -2.0 * res + 2.0 * np.einsum("ebc,eb->ec", mats, res)
@@ -222,8 +222,9 @@ def minimize(
     """Deterministic gradient descent with backtracking line search.
 
     The energy trace is non-increasing by construction; if backtracking
-    exhausts the step size on an ascent direction the run raises
-    SolverDivergence rather than returning silently.
+    exhausts the step size on an ascent direction, or the start already has
+    a non-finite energy or gradient norm, the run raises SolverDivergence
+    rather than returning silently.
     """
     mats = bundle.edge_matrices()
     config = config0.copy()
@@ -231,6 +232,10 @@ def minimize(
     eb = energy(bundle, config, weights, mats)
     g = gradient(bundle, config, weights, mats)
     gnorm = float(np.linalg.norm(g))
+    if not (np.isfinite(eb.total) and np.isfinite(gnorm)):
+        raise SolverDivergence(
+            f"the start has energy {eb.total} and gradient norm {gnorm}; both must be finite"
+        )
     trace = [TraceRow(0, eb, gnorm, step)]
     for it in range(1, solver.max_iters + 1):
         if gnorm < solver.tol:
@@ -271,18 +276,16 @@ def edge_residual_norms(bundle: LatticeBundle, config: FieldConfig) -> np.ndarra
 
 
 def spanning_tree(bundle: LatticeBundle) -> list[int]:
-    """Edge indices of a BFS spanning tree rooted at node 0."""
-    from collections import deque
-
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(bundle.n_nodes)}
-    for e_idx, (t, h, _) in enumerate(bundle.edges):
-        adj[t].append((h, e_idx))
+    """Edge indices of a BFS spanning tree rooted at node 0, in the order
+    BFS finds them, so each edge's tail is placed before it."""
+    heads = bundle.heads.tolist()
     visited = {0}
     tree = []
     queue = deque([0])
     while queue:
         node = queue.popleft()
-        for nbr, e_idx in adj[node]:
+        for e_idx in range(node * bundle.d, (node + 1) * bundle.d):
+            nbr = heads[e_idx]
             if nbr not in visited:
                 visited.add(nbr)
                 tree.append(e_idx)
@@ -302,22 +305,9 @@ def covariant_config(bundle: LatticeBundle, seed_value: np.ndarray) -> tuple[Fie
     lam = np.zeros((bundle.n_nodes, bundle.alg.dim))
     lam[0] = seed_value
     tree = spanning_tree(bundle)
-    placed = {0}
-    pending = list(tree)
-    while pending:
-        still = []
-        for e_idx in pending:
-            t, h, _ = bundle.edges[e_idx]
-            if t in placed and h not in placed:
-                lam[h] = lam[t] - mats[e_idx] @ lam[t]
-                placed.add(h)
-            elif h in placed and t in placed:
-                pass
-            else:
-                still.append(e_idx)
-        if len(still) == len(pending):
-            break
-        pending = still
+    for e_idx in tree:
+        t, h = bundle.tails[e_idx], bundle.heads[e_idx]
+        lam[h] = lam[t] - mats[e_idx] @ lam[t]
     return FieldConfig(lam), tree
 
 
@@ -358,16 +348,11 @@ def certify_compatible_pair(
     tolerance are flagged degenerate, every other node is a split.
     """
     out = []
-    edge_of = {}
-    for e_idx, (t, _h, axis) in enumerate(bundle.edges):
-        edge_of[(t, axis)] = e_idx
     for node in range(bundle.n_nodes):
         lam = config.lam[node]
         sup = float(np.max(np.abs(lam))) if lam.size else 0.0
-        pairings = []
-        for axis in range(bundle.d):
-            e_idx = edge_of[(node, axis)]
-            pairings.append(float(np.dot(lam, bundle.omega[e_idx])))
+        pairings = [float(np.dot(lam, bundle.omega[node * bundle.d + axis]))
+                    for axis in range(bundle.d)]
         if sup <= tol:
             out.append(
                 NodeCertificate(node, sup, pairings, list(range(bundle.d)), bundle.d, 0, bundle.d, "degenerate")

@@ -7,13 +7,15 @@ import math
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spencerlab import linalg
 from spencerlab.cli import main
 from spencerlab.linalg import PRIME_POOL
 from spencerlab.reports import SchemaError, body_bytes, validate_report
+
+from conftest import load_golden
 
 
 @pytest.fixture()
@@ -458,13 +460,55 @@ def test_varsolve_huge_integer_field_exits_2(runner, tmp_path):
 
 
 def test_varsolve_divergence_exits_6(runner, tmp_path, recwarn):
-    result = _varsolve(runner, tmp_path, '{"lambda_scale": 1e200, "solver": {"max_iters": 50}}')
+    # A pairing penalty this stiff needs a step far below min_step.
+    result = _varsolve(runner, tmp_path,
+                       '{"weights": {"alpha1": 1e30}, "solver": {"max_iters": 50}}')
     assert result.exit_code == 6, result.output
     assert not result.stdout
     line = _message_line(result)
     assert line.startswith("solver diverged: backtracking exhausted at iteration 1"), line
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("text, shown", [
+    ('{"lambda_scale": 1e300, "solver": {"max_iters": 0}}', "energy inf and gradient norm inf"),
+    ('{"lambda_scale": 1e200, "solver": {"max_iters": 50}}', "energy inf and gradient norm inf"),
+    ('{"lambda_scale": 2e152}', "energy 8.539973146710987e+306 and gradient norm inf"),
+])
+def test_varsolve_non_finite_start_exits_6(runner, tmp_path, recwarn, text, shown):
+    # Finite inputs whose start overflows: no Infinity token reaches a body.
+    result = _varsolve(runner, tmp_path, text)
+    assert result.exit_code == 6, result.output
+    assert not result.stdout
+    assert _message_line(result) == f"solver diverged: the start has {shown}; both must be finite"
     # numpy's overflow warnings would print on stderr outside pytest
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_varsolve_whole_solve_matches_golden(runner, tmp_path):
+    golden = load_golden("varsolve_solve_a1_d3n3.json")
+    cfg_path, json_path, csv_path = (tmp_path / name for name in ("c.json", "r.json", "t.csv"))
+    cfg_path.write_text(json.dumps(golden["config"]))
+    result = runner.invoke(main, ["varsolve", "--config", str(cfg_path), "--json",
+                                  str(json_path), "--out", str(csv_path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(json_path.read_text())["body"] == golden["body"]
+    assert csv_path.read_text().splitlines() == golden["csv"]
+
+
+@pytest.mark.parametrize("cap, d, n, shown", [
+    (100, 3, 6, "1728"),
+    (10_000_000, 10**30, 10**9, "more than 10000000"),
+])
+def test_cohomology_torus_over_the_cap_exits_3(runner, cap, d, n, shown):
+    # (2n)^d cells are checked before any is built, so a huge d returns at once.
+    result = runner.invoke(main, ["--max-dim", str(cap), "cohomology", "--torus", str(d),
+                                  "--n", str(n), "--algebra", "A1", "--k", "1",
+                                  "--lambda", "preset:cartan1"])
+    assert result.exit_code == 3, result.output
+    assert not result.stdout
+    assert _message_line(result) == (f"a d={d}, n={n} torus has {shown} cells ((2n)^d), "
+                                     f"exceeding the cap of {cap}")
 
 
 @pytest.mark.parametrize(
@@ -528,6 +572,10 @@ _NUMBER = st.one_of(
 )
 
 
+def _reject_constant(name: str):
+    raise AssertionError(f"the report holds the non-JSON constant {name}")
+
+
 def _is_finite_number(value) -> bool:
     try:
         return math.isfinite(float(value))
@@ -548,6 +596,12 @@ def _is_finite_number(value) -> bool:
     "omega": st.fixed_dictionaries({"mode": st.sampled_from(["random", "zero"]),
                                     "scale": _NUMBER}),
 }))
+@example(cfg={
+    "lattice": {"d": 2, "n": 4}, "seed": 0,
+    "solver": {"max_iters": 0, "step": 0.1, "tol": 1e-8},
+    "weights": {"alpha1": 1.0, "alpha2": 0.0, "alpha3": 1.0, "C": 1.0},
+    "lambda_scale": 1e300, "omega": {"mode": "random", "scale": 0.3},
+})
 def test_varsolve_adversarial_configs_end_in_a_documented_status(tmp_path_factory, cfg):
     result = _varsolve(CliRunner(), tmp_path_factory.mktemp("cfg"), json.dumps(cfg))
     assert result.exit_code in (0, 2, 6), (result.output, result.exception)
@@ -557,7 +611,7 @@ def test_varsolve_adversarial_configs_end_in_a_documented_status(tmp_path_factor
     if result.exit_code:
         _message_line(result)
     else:
-        validate_report(json.loads(result.stdout))
+        validate_report(json.loads(result.stdout, parse_constant=_reject_constant))
 
 
 @settings(max_examples=60, deadline=None)

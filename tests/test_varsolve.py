@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
+from spencerlab.torus import CellComplex
 from spencerlab.varsolve import (
     FieldConfig,
     LatticeBundle,
@@ -23,12 +26,27 @@ from spencerlab.varsolve import (
 from conftest import load_golden
 
 
+def lattice_layout(d, n):
+    """Node positions, their indices and (tail, head, axis) per edge, rebuilt
+    from positions: nodes in lexicographic order, then edge node*d + axis
+    runs one step up along axis, mod n."""
+    nodes = sorted(product(range(n), repeat=d))
+    index = {pos: i for i, pos in enumerate(nodes)}
+    edges = []
+    for pos in nodes:
+        for axis in range(d):
+            head = tuple((p + (a == axis)) % n for a, p in enumerate(pos))
+            edges.append((index[pos], index[head], axis))
+    return nodes, index, edges
+
+
 def naive_energy(bundle, config, w):
     """Straightforward re-evaluation with plain loops, kept independent."""
     mats = bundle.edge_matrices()
     main = 0.0
     pen1 = 0.0
-    for e_idx, (t, h, _axis) in enumerate(bundle.edges):
+    _, _, edges = lattice_layout(bundle.d, bundle.n)
+    for e_idx, (t, h, _axis) in enumerate(edges):
         r = config.lam[h] - config.lam[t] + mats[e_idx] @ config.lam[t]
         main += float(r @ r)
         p = float(config.lam[t] @ bundle.omega[e_idx])
@@ -36,6 +54,22 @@ def naive_energy(bundle, config, w):
     sup2 = max(float(v * v) for row in config.lam for v in row)
     pen3 = max(0.0, sup2 - w.bound_c)
     return main, pen1, pen3, main + w.alpha1 * pen1 + w.alpha3 * pen3
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 2), (2, 3), (3, 2)])
+def test_layout_is_the_torus_coboundary(a1, d, n):
+    # Edge e is the 1-cell cells[1][e]; its row of d_0 is -1 at the tail
+    # and +1 at the head (empty when the two coincide, as for n = 1).
+    bundle = LatticeBundle(d, n, a1)
+    cx = CellComplex.torus(d, n)
+    rows = [[] for _ in range(cx.n_cells(1))]
+    for node, col in enumerate(cx.coboundary_columns(0)):
+        for row, sign in col:
+            rows[row].append((sign, node))
+    assert bundle.n_nodes == cx.n_cells(0) and bundle.n_edges == cx.n_cells(1)
+    for e, (t, h) in enumerate(zip(bundle.tails.tolist(), bundle.heads.tolist())):
+        assert cx.cells[1][e] == (cx.cells[0][t][0], (e % d,))
+        assert sorted(rows[e]) == ([] if t == h else [(-1, t), (1, h)])
 
 
 def test_zero_field_zero_energy(a1):
@@ -179,13 +213,14 @@ def test_translation_invariance(a1):
     base = energy(bundle, config, w)
 
     shift = (1, 0)
+    nodes, node_index, edges = lattice_layout(2, 4)
     node_map = {}
-    for idx, pos in enumerate(bundle.nodes):
+    for idx, pos in enumerate(nodes):
         moved = tuple((p + s) % bundle.n for p, s in zip(pos, shift))
-        node_map[idx] = bundle.node_index[moved]
+        node_map[idx] = node_index[moved]
     edge_map = {}
-    for e_idx, (t, h, axis) in enumerate(bundle.edges):
-        for e2_idx, (t2, h2, axis2) in enumerate(bundle.edges):
+    for e_idx, (t, h, axis) in enumerate(edges):
+        for e2_idx, (t2, h2, axis2) in enumerate(edges):
             if t2 == node_map[t] and axis2 == axis:
                 edge_map[e_idx] = e2_idx
                 break
@@ -236,7 +271,7 @@ def test_certify_hand_built_annihilated_edges(a1):
     lam = np.zeros((bundle.n_nodes, a1.dim))
     lam[:, 0] = 1.0  # lambda = h* everywhere
     # axis 0 edges pair to zero (omega orthogonal), axis 1 edges do not
-    for e_idx, (t, h, axis) in enumerate(bundle.edges):
+    for e_idx, (t, h, axis) in enumerate(lattice_layout(2, 2)[2]):
         bundle.omega[e_idx] = [0.0, 1.0, 0.0] if axis == 0 else [1.0, 0.0, 0.0]
     certs = certify_compatible_pair(bundle, FieldConfig(lam))
     for c in certs:

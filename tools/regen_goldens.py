@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
@@ -17,6 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 import numpy as np
 
 from spencerlab.chevalley import algebra
+from spencerlab.cli import main as spencer
 from spencerlab.kernels import kernel_of_constrained
 from spencerlab.operators import delta_classical, delta_constrained, nilpotency_audit
 from spencerlab.presets import cartan_dual, random_dual
@@ -113,6 +115,23 @@ def main():
         {"seed": 2024, "weights": {"alpha1": 0.5, "alpha3": 1.0, "C": 10.0},
          "breakdown": {k: repr(v) for k, v in eb.as_dict().items()}},
     )
+
+    # A whole `spencer varsolve` solve: report body and CSV trace; the
+    # manifest carries a timestamp and is left out.
+    cfg = {"algebra": "A1", "lattice": {"d": 3, "n": 3}, "seed": 1,
+           "weights": {"alpha1": 0.5, "alpha3": 1.0, "C": 0.1},
+           "solver": {"max_iters": 3000}}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("cfg.json", "vs.json", "vs.csv")}
+        with open(paths["cfg.json"], "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        spencer(["varsolve", "--config", paths["cfg.json"], "--json", paths["vs.json"],
+                 "--out", paths["vs.csv"]], standalone_mode=False)
+        with open(paths["vs.json"], encoding="utf-8") as fh:
+            body = json.load(fh)["body"]
+        with open(paths["vs.csv"], encoding="utf-8") as fh:
+            trace = fh.read().splitlines()
+    dump("varsolve_solve_a1_d3n3.json", {"config": cfg, "body": body, "csv": trace})
 
 
 if __name__ == "__main__":
