@@ -33,8 +33,9 @@ a column to earlier columns only, so every column free mod p is free over
 Q; both free sets have m elements, so they are equal and the vectors are
 the rational free-variable basis, vector for vector.  If a reconstruction
 or a check fails, the kernel is eliminated over Q instead, so a failed
-lift costs one tracked pass.  Combining several primes by the Chinese
-remainder theorem (Dixon, Numer. Math. 1982) would lift larger
+lift costs one tracked pass.  ``repdecomp.is_g_submodule`` relies on the
+free-variable form of every returned kernel.  Combining several primes by
+the Chinese remainder theorem (Dixon, Numer. Math. 1982) would lift larger
 coefficients, but one prime lifts every kernel of the benchmark
 workloads.  "exact" in the method ``multi-modular+exact`` names an exact
 rational basis with an exact check, whichever way it was found.

@@ -10,6 +10,17 @@ Irrep dimensions come from the Weyl dimension formula and dominant weight
 multiplicities from the Freudenthal recursion, both in exact integers over
 the datum's cached ``cartan.RootGeometry``.  A character is peeled into
 irreducible summands on its dominant weights only.
+
+The submodule check needs no elimination.  A kernel basis from
+``kernels.kernel`` is in free-variable form (``linalg`` module docs): each
+vector has coefficient 1 at its largest monomial f, and no other vector
+touches f.  With F the free monomials and P the others, a vector x lies in
+the span K exactly when x[P] = K[P, F] * x[F]: y = x - sum_f x[f] * K_f
+vanishes on F, and the only vector of the span that vanishes on F is 0.
+``is_g_submodule`` checks that form first, then tests every ad image on P
+only, in integers.  ``ad_action_on_sym``, the Fraction action on one
+element, has no caller in the package: the tests keep it as an independent
+reference for the check.
 """
 
 from __future__ import annotations
@@ -17,12 +28,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .cartan import geometry
 from .chevalley import LieAlgebraTable
 from .kernels import KernelBasis
-from .linalg import Eliminator, span_rank
+from .linalg import CertificationError, span_rank
 from .sym import SymElement
 
 WeightVector = tuple[int, ...]
@@ -58,18 +69,89 @@ def ad_action_on_sym(alg: LieAlgebraTable, x: SymElement, s: SymElement) -> SymE
     return out
 
 
+def _free_monomials(kb: KernelBasis) -> dict[tuple[int, ...], int]:
+    """The free monomial of each basis vector, mapped to the vector's index.
+
+    Checks the free-variable form in O(nnz): each vector has coefficient 1
+    at its largest monomial, no two vectors share that monomial, and no
+    vector touches another's.  Raises ``CertificationError`` otherwise.
+    """
+    free: dict[tuple[int, ...], int] = {}
+    for i, el in enumerate(kb.basis):
+        if not el.terms:
+            raise CertificationError(f"kernel vector {i} is zero")
+        f = max(el.terms)
+        if el.terms[f] != 1:
+            raise CertificationError(
+                f"kernel vector {i} has coefficient {el.terms[f]} at its free monomial {f}"
+            )
+        if f in free:
+            raise CertificationError(
+                f"kernel vectors {free[f]} and {i} share the free monomial {f}"
+            )
+        free[f] = i
+    for i, el in enumerate(kb.basis):
+        for mono in el.terms:
+            j = free.get(mono, i)
+            if j != i:
+                raise CertificationError(
+                    f"kernel vector {i} touches the free monomial {mono} of vector {j}"
+                )
+    return free
+
+
 def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
-    """Check ad-stability of the kernel span; failures list (x, s) pairs."""
-    span = Eliminator(el.terms for el in kb.basis)
+    """Check ad-stability of the kernel span; failures list (x, s) pairs.
+
+    Membership is read off the free-variable form (module docs), in
+    integers: every vector is scaled by the lcm D of all denominators, and
+    D * ad_a(s) is in the span exactly when D times its pivot part equals
+    its free part pushed through the scaled pivot parts of the free vectors.
+    """
+    free = _free_monomials(kb)
+    scale = lcm(*[v.denominator for el in kb.basis for v in el.terms.values()])
+    # The scaled pivot part of each vector; () when it has none.
+    pivot_parts = [
+        tuple(
+            (m, v.numerator * (scale // v.denominator))
+            for m, v in el.terms.items()
+            if m not in free
+        )
+        for el in kb.basis
+    ]
+    # [x_a, x_b] = -[x_b, x_a]: the table is antisymmetric by construction
+    # and ``chevalley.prove_jacobi`` checks it, so column b is minus row b.
+    rows = alg.bracket_rows
+
     violations = []
-    for a in range(alg.dim):
-        x = SymElement.basis_vector(alg.dim, a)
-        for s_idx, s in enumerate(kb.basis):
-            img = ad_action_on_sym(alg, x, s)
-            if img.is_zero():
-                continue
-            if span.reduce(img.terms):
+    for s_idx, el in enumerate(kb.basis):
+        # D * ad_a(s) for every generator a at once, by the Leibniz rule.
+        images: dict[int, dict[tuple[int, ...], int]] = {}
+        for mono, coeff in el.terms.items():
+            coeff = coeff.numerator * (scale // coeff.denominator)
+            for j, b in enumerate(mono):
+                rest = mono[:j] + mono[j + 1 :]
+                for a, entries in rows[b].items():
+                    img = images.get(a)
+                    if img is None:
+                        img = images[a] = {}
+                    for c, bc in entries:
+                        key = tuple(sorted(rest + (c,)))
+                        img[key] = img.get(key, 0) - coeff * bc
+        for a, img in images.items():
+            residual: dict[tuple[int, ...], int] = {}
+            for mono, v in img.items():
+                if not v:
+                    continue
+                f_idx = free.get(mono)
+                if f_idx is None:
+                    residual[mono] = residual.get(mono, 0) + scale * v
+                else:
+                    for m, w in pivot_parts[f_idx]:
+                        residual[m] = residual.get(m, 0) - v * w
+            if any(residual.values()):
                 violations.append([a, s_idx])
+    violations.sort()
     return {
         "algebra": alg.label,
         "degree": kb.degree,

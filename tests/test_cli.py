@@ -238,6 +238,29 @@ def test_certification_failure_exits_5(runner, monkeypatch):
     assert "Traceback" not in result.output
 
 
+def test_kernel_not_in_free_variable_form_exits_5(runner, monkeypatch):
+    # --decompose reads span membership off the free-variable form; a basis
+    # vector scaled by 2 breaks that form and must not yield a verdict.
+    import spencerlab.cli as cli_mod
+
+    real = cli_mod.kernel_of_constrained
+
+    def scaled_first_vector(*args):
+        kb, cert = real(*args)
+        kb.basis[0] = kb.basis[0].scale(2)
+        return kb, cert
+
+    monkeypatch.setattr(cli_mod, "kernel_of_constrained", scaled_first_vector)
+    result = runner.invoke(
+        main,
+        ["kernel", "--algebra", "A2", "--k", "2", "--lambda", "preset:random:4321",
+         "--decompose"],
+    )
+    assert result.exit_code == 5, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("certification failed: "), result.output
+
+
 def test_cohomology_command(runner, tmp_path):
     csv_path = tmp_path / "dims.csv"
     result = runner.invoke(

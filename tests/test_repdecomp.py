@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, product
@@ -8,8 +10,8 @@ import pytest
 
 from spencerlab.chevalley import algebra
 from spencerlab.kernels import kernel_of_constrained
-from spencerlab.linalg import rref_dense, span_rank
-from spencerlab.presets import cartan_dual, random_dual, zero_dual
+from spencerlab.linalg import CertificationError, Eliminator, rref_dense, span_rank
+from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual, zero_dual
 from spencerlab.repdecomp import (
     WeightLattice,
     ad_action_on_sym,
@@ -40,6 +42,80 @@ def test_full_symk_is_submodule(a1, a2):
         kb, _ = kernel_of_constrained(alg, zero_dual(alg), 2)
         verdict = is_g_submodule(alg, kb)
         assert verdict["is_submodule"]
+
+
+def reference_is_g_submodule(alg, kb):
+    """Span elimination over Q: reduce every Fraction ad image against the kernel."""
+    span = Eliminator(el.terms for el in kb.basis)
+    violations = []
+    for a in range(alg.dim):
+        x = SymElement.basis_vector(alg.dim, a)
+        for s_idx, s in enumerate(kb.basis):
+            img = ad_action_on_sym(alg, x, s)
+            if not img.is_zero() and span.reduce(img.terms):
+                violations.append([a, s_idx])
+    return {
+        "algebra": alg.label,
+        "degree": kb.degree,
+        "kernel_dim": kb.dim,
+        "is_submodule": not violations,
+        "violations": violations[:50],
+        "violation_count": len(violations),
+    }
+
+
+# G2 lambda with odd denominators: its k=2 kernel vectors have denominators
+# up to the thousands, so the common-denominator scaling is exercised.
+ODD_DENOMINATOR_G2 = [[1, 3], [2, 5]] + [[0, 1]] * 12
+
+
+@pytest.mark.parametrize(
+    "label,k,spec",
+    [
+        ("A1", 2, "preset:zero"),
+        ("A2", 2, "preset:zero"),
+        ("A2", 3, "preset:zero"),
+        ("A2", 2, "preset:random:4321"),
+        ("G2", 2, "preset:random:1000"),
+        ("B3", 2, "preset:cartan1"),
+        ("B3", 2, "preset:random:7"),
+        ("G2", 2, "file"),
+        ("A1", 1, "preset:cartan1"),
+    ],
+)
+def test_submodule_check_matches_span_elimination(label, k, spec, tmp_path):
+    alg = algebra(label)
+    if spec == "file":
+        path = tmp_path / "lambda.json"
+        path.write_text(json.dumps(ODD_DENOMINATOR_G2))
+        spec = f"file:{path}"
+    kb, _ = kernel_of_constrained(alg, parse_lambda_spec(alg, spec), k)
+    if spec.startswith("file:"):
+        assert max(v.denominator for el in kb.basis for v in el.terms.values()) > 1000
+    assert is_g_submodule(alg, kb) == reference_is_g_submodule(alg, kb)
+
+
+def _a2_kernel():
+    a2 = algebra("A2")
+    kb, _ = kernel_of_constrained(a2, random_dual(a2, seed=4321), 2)
+    return a2, kb
+
+
+def test_submodule_check_rejects_a_scaled_vector():
+    a2, kb = _a2_kernel()
+    basis = [kb.basis[0].scale(2)] + kb.basis[1:]
+    with pytest.raises(CertificationError, match="coefficient 2"):
+        is_g_submodule(a2, dataclasses.replace(kb, basis=basis))
+
+
+def test_submodule_check_rejects_a_free_monomial_in_another_vector():
+    a2, kb = _a2_kernel()
+    by_free = sorted(range(kb.dim), key=lambda i: max(kb.basis[i].terms))
+    low, high = by_free[0], by_free[-1]
+    broken = kb.basis[high].add(SymElement.monomial(a2.dim, max(kb.basis[low].terms)))
+    basis = [broken if i == high else el for i, el in enumerate(kb.basis)]
+    with pytest.raises(CertificationError, match="touches the free monomial"):
+        is_g_submodule(a2, dataclasses.replace(kb, basis=basis))
 
 
 def test_zero_kernel_vacuously_submodule(a1):
