@@ -519,6 +519,15 @@ def test_varsolve_whole_solve_matches_golden(runner, tmp_path):
     assert csv_path.read_text().splitlines() == golden["csv"]
 
 
+def test_lie_info_g2_table_matches_golden(runner, tmp_path):
+    golden = load_golden("g2_lie_table.json")
+    table_path = tmp_path / "g2.json"
+    rep = _report(runner.invoke(main, ["lie", "info", "--algebra", "G2",
+                                       "--table", str(table_path)]))
+    assert rep["body"] == golden["lie_info_body"]
+    assert json.loads(table_path.read_text()) == golden["table"]
+
+
 @pytest.mark.parametrize("cap, d, n, shown", [
     (100, 3, 6, "1728"),
     (10_000_000, 10**30, 10**9, "more than 10000000"),

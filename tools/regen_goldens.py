@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 import numpy as np
 
-from spencerlab.chevalley import algebra
+from spencerlab.chevalley import algebra, serialize_table
 from spencerlab.cli import main as spencer
 from spencerlab.kernels import kernel_of_constrained
 from spencerlab.operators import delta_classical, delta_constrained, nilpotency_audit
@@ -132,6 +132,15 @@ def main():
         with open(paths["vs.csv"], encoding="utf-8") as fh:
             trace = fh.read().splitlines()
     dump("varsolve_solve_a1_d3n3.json", {"config": cfg, "body": body, "csv": trace})
+
+    # The serialized G2 table (brackets and Killing entries) and the
+    # `spencer lie info` body; the manifest carries a timestamp and is left out.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "info.json")
+        spencer(["lie", "info", "--algebra", "G2", "--out", out], standalone_mode=False)
+        with open(out, encoding="utf-8") as fh:
+            info = json.load(fh)["body"]
+    dump("g2_lie_table.json", {"table": serialize_table(algebra("G2")), "lie_info_body": info})
 
 
 if __name__ == "__main__":
