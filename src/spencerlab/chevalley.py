@@ -29,6 +29,16 @@ Algebras and Representation Theory* (1972), section 1.3, and de Graaf,
 *Lie Algebras: Theory and Algorithms* (2000), on checking structure
 constants.  ``check_jacobi``, the check on all basis triples, stays as an
 independent oracle.
+
+The Killing form K(x, y) = tr(ad_x ad_y) is kept as integers in its only
+nonzero blocks, K(h_i, h_j) and K(e_r, f_r), and every other entry is proved
+zero rather than computed.  Give h_i weight 0, e_r the Dynkin labels of root
+r and f_r their negatives.  The build checks, in O(nnz), that every term x_c
+of [x_a, x_b] has weight wt(a) + wt(b).  Then ad_a ad_b shifts every weight
+by wt(a) + wt(b), so its trace is zero unless that sum is zero.  Dynkin
+labels are injective on roots (the Cartan matrix is invertible), so the sum
+is zero only for (h_i, h_j) and (e_r, f_r); this is K(g_alpha, g_beta) = 0
+unless alpha + beta = 0 (Humphreys, section 8.1).
 """
 
 from __future__ import annotations
@@ -107,13 +117,14 @@ class _ConstantTable:
         # x positive, y negative; the sum s plays the role of x - (-y).
         z = self._neg(y)
         if self._is_positive(s):
-            val = Fraction(-self.norm2[s], self.norm2[x]) * self.n(z, s)
+            num, den = -self.norm2[s] * self.n(z, s), self.norm2[x]
         else:
             v = self._neg(s)
-            val = Fraction(-self.norm2[v], self.norm2[z]) * self.n(x, v)
-        if val.denominator != 1:
-            raise ChevalleyError(f"non-integer constant for pair {x}, {y}: {val}")
-        return int(val)
+            num, den = -self.norm2[v] * self.n(x, v), self.norm2[z]
+        val, rem = divmod(num, den)
+        if rem:
+            raise ChevalleyError(f"non-integer constant for pair {x}, {y}: {num}/{den}")
+        return val
 
     def _build(self) -> None:
         # Positive roots come in (height, lex) order, so comparing positions
@@ -141,12 +152,13 @@ class _ConstantTable:
                 denom = self.n(self._neg(alpha), gamma)
                 if denom == 0:
                     raise ChevalleyError(f"vanishing extraspecial constant at {gamma}")
-                val = Fraction(-term, denom)
-                if val.denominator != 1 or val == 0:
+                val, rem = divmod(-term, denom)
+                if rem or val == 0:
                     raise ChevalleyError(
-                        f"sign-consistency failure at triple {delta}, {eta}, {gamma}: {val}"
+                        f"sign-consistency failure at triple {delta}, {eta}, {gamma}: "
+                        f"{-term}/{denom}"
                     )
-                self.special[(delta, eta)] = int(val)
+                self.special[(delta, eta)] = val
 
 
 @dataclass
@@ -159,8 +171,10 @@ class LieAlgebraTable:
     basis_labels: tuple[str, ...]
     # bracket[a][b] lists (c, coeff) with [x_a, x_b] = sum coeff * x_c.
     bracket_rows: tuple[dict[int, BracketValue], ...]
-    killing: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    killing_inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    # The Killing form K(x_a, x_b) = tr(ad_a ad_b) is zero off these blocks
+    # (module docstring): K(h_i, h_j), and K(e_r, f_r) = K(f_r, e_r) per root.
+    killing_cartan: tuple[tuple[int, ...], ...] = field(repr=False)
+    killing_pairs: tuple[int, ...] = field(repr=False)
     weights: tuple[tuple[int, ...], ...] = field(repr=False)
     jacobi_checked: bool = False  # set only after prove_jacobi passes
 
@@ -186,65 +200,58 @@ class LieAlgebraTable:
         return self.rank + self.n_positive + r
 
 
-def _killing_from_table(dim: int, rows) -> list[list[Fraction]]:
-    """K(a, b) = trace(ad_a ad_b), computed from the sparse bracket table."""
-    k = [[Fraction(0)] * dim for _ in range(dim)]
-    flat = []
-    for a in range(dim):
-        entries = []
-        for c, val in rows[a].items():
-            for dd, coeff in val:
-                entries.append((c, dd, coeff))
-        flat.append(entries)
-    for a in range(dim):
-        for b in range(a, dim):
-            total = 0
-            row_b = rows[b]
-            for c, dd, coeff in flat[a]:
-                back = row_b.get(dd)
-                if back:
-                    for c2, coeff2 in back:
-                        if c2 == c:
-                            total += coeff * coeff2
-            if total:
-                k[a][b] = Fraction(total)
-                k[b][a] = Fraction(total)
-    return k
+def _check_graded(
+    rows: Sequence[dict[int, BracketValue]], weights: Sequence[tuple[int, ...]]
+) -> None:
+    """Every term x_c of [x_a, x_b] has weight wt(a) + wt(b), in O(nnz)."""
+    for a, row in enumerate(rows):
+        for b, entries in row.items():
+            want = tuple(x + y for x, y in zip(weights[a], weights[b]))
+            bad = next((c for c, _ in entries if weights[c] != want), None)
+            if bad is not None:
+                raise ChevalleyError(
+                    f"bracket of basis pair ({a}, {b}) has a term x_{bad} "
+                    f"outside the weight space {want}"
+                )
 
 
-def _invert_killing(table_k: list[list[Fraction]], rank: int, n_pos: int) -> list[list[Fraction]]:
-    """Invert K using its block shape: Cartan block plus (e, f) pairings."""
-    dim = len(table_k)
-    for a in range(dim):
-        for b in range(dim):
-            v = table_k[a][b]
-            if v == 0:
-                continue
-            cartan_pair = a < rank and b < rank
-            ef_pair = (
-                rank <= a < rank + n_pos and b == a + n_pos
-            ) or (
-                rank <= b < rank + n_pos and a == b + n_pos
-            )
-            if not (cartan_pair or ef_pair):
-                raise ChevalleyError(f"unexpected Killing entry at ({a}, {b})")
+def _trace_ad_ad(rows: Sequence[dict[int, BracketValue]], a: int, b: int) -> int:
+    """tr(ad_a ad_b) from the sparse bracket table."""
+    total = 0
+    row_b = rows[b]
+    for c, entries in rows[a].items():  # [x_a, x_c] = sum coeff x_d
+        for d, coeff in entries:
+            for c2, coeff2 in row_b.get(d, ()):
+                if c2 == c:
+                    total += coeff * coeff2
+    return total
+
+
+def _killing_blocks(
+    rows: Sequence[dict[int, BracketValue]],
+    weights: Sequence[tuple[int, ...]],
+    rank: int,
+    n_pos: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """K(h_i, h_j) and the K(e_r, f_r), after proving every other entry is zero."""
+    _check_graded(rows, weights)
+    cartan = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            cartan[i][j] = cartan[j][i] = _trace_ad_ad(rows, i, j)
+    pairs = tuple(_trace_ad_ad(rows, rank + r, rank + n_pos + r) for r in range(n_pos))
     # K is positive definite on the real span of the coroots, so adjugate
     # needs no pivoting and its determinant is positive.
-    det, adj = adjugate([[int(table_k[i][j]) for j in range(rank)] for i in range(rank)])
+    try:
+        det, _ = adjugate(cartan)
+    except ZeroDivisionError:  # a vanishing leading minor
+        det = 0
     if det <= 0:
         raise ChevalleyError("Killing form not positive definite on the Cartan block")
-    inv = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(rank):
-        inv[i][:rank] = [Fraction(x, det) for x in adj[i]]
-    for r in range(n_pos):
-        ei = rank + r
-        fi = rank + n_pos + r
-        pairing = table_k[ei][fi]
+    for r, pairing in enumerate(pairs):
         if pairing == 0:
             raise ChevalleyError(f"degenerate (e, f) Killing pairing at root index {r}")
-        inv[ei][fi] = 1 / pairing
-        inv[fi][ei] = 1 / pairing
-    return inv
+    return tuple(map(tuple, cartan)), pairs
 
 
 def jacobi_residual(table: LieAlgebraTable, a: int, b: int, c: int) -> dict[int, int]:
@@ -457,8 +464,7 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
         + tuple(tuple(-p for p in labels) for labels in geo.labels)
     )
 
-    killing = _killing_from_table(dim, rows)
-    killing_inv = _invert_killing(killing, rank, n_pos)
+    killing_cartan, killing_pairs = _killing_blocks(rows, weights, rank, n_pos)
 
     table = LieAlgebraTable(
         datum=datum,
@@ -466,8 +472,8 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
         dim=dim,
         basis_labels=labels,
         bracket_rows=tuple(rows),
-        killing=tuple(tuple(row) for row in killing),
-        killing_inverse=tuple(tuple(row) for row in killing_inv),
+        killing_cartan=killing_cartan,
+        killing_pairs=killing_pairs,
         weights=weights,
     )
     if verify:
@@ -491,10 +497,8 @@ def killing_determinant_sign(table: LieAlgebraTable) -> int:
     needs no pivoting.  Each (e, f) pair adds a block of determinant
     -K(e, f)^2.
     """
-    rank = table.rank
-    det, _ = adjugate([[int(table.killing[i][j]) for j in range(rank)] for i in range(rank)])
-    for r in range(table.n_positive):
-        pairing = table.killing[table.e_index(r)][table.f_index(r)]
+    det, _ = adjugate(table.killing_cartan)
+    for pairing in table.killing_pairs:
         det *= -(pairing * pairing)
     return (det > 0) - (det < 0)
 
@@ -552,12 +556,12 @@ def serialize_table(table: LieAlgebraTable) -> dict:
                 continue
             for c, v in entries:
                 triples.append([a, b, c, int(v), 1])
-    killing = []
-    for a in range(table.dim):
-        for b in range(a, table.dim):
-            v = table.killing[a][b]
-            if v:
-                killing.append([a, b, v.numerator, v.denominator])
+    # [a, b, numerator, denominator] for a <= b: the Cartan upper triangle
+    # row by row, then (e_r, f_r) in root order.
+    killing = [[i, j, v, 1] for i, row in enumerate(table.killing_cartan)
+               for j, v in enumerate(row[i:], i) if v]
+    killing += [[table.e_index(r), table.f_index(r), v, 1]
+                for r, v in enumerate(table.killing_pairs)]
     return {
         "format": "lie-table",
         "format_version": 1,

@@ -260,28 +260,25 @@ def verify(ctx, label: str, lam_spec: str, k_min: int, k_max: int,
     cap = ctx.obj["max_dim"]
     audits = [{"kind": "generator-formula-agreement",
                **generator_formula_agreement(alg, lam)}]
+    # (kind, audit, verdict key); a forced audit has a verdict key and gates.
+    per_k = (
+        ("mirror-antisymmetry", verify_mirror, "holds"),
+        ("kernel-mirror-stability", mirror_stability_check, "kernels_equal"),
+        ("nilpotency", nilpotency_audit, None),
+    )
     forced_ok = True
     forced_capped = False
     for k in range(k_min, k_max + 1):
-        try:
-            mirror = verify_mirror(alg, lam, k, cap)
-            audits.append({"kind": "mirror-antisymmetry", **mirror})
-            forced_ok = forced_ok and mirror["holds"]
-        except ResourceCapExceeded as exc:
-            audits.append({"kind": "mirror-antisymmetry", "k": k, "skipped": str(exc)})
-            forced_capped = True
-        try:
-            stability = mirror_stability_check(alg, lam, k, cap)
-            audits.append({"kind": "kernel-mirror-stability", **stability})
-            forced_ok = forced_ok and stability["kernels_equal"]
-        except ResourceCapExceeded as exc:
-            audits.append({"kind": "kernel-mirror-stability", "k": k, "skipped": str(exc)})
-            forced_capped = True
-        try:
-            nil = nilpotency_audit(alg, lam, k, cap)
-            audits.append({"kind": "nilpotency", **nil})
-        except ResourceCapExceeded as exc:
-            audits.append({"kind": "nilpotency", "k": k, "skipped": str(exc)})
+        for kind, audit, verdict in per_k:
+            try:
+                result = audit(alg, lam, k, cap)
+            except ResourceCapExceeded as exc:
+                audits.append({"kind": kind, "k": k, "skipped": str(exc)})
+                forced_capped = forced_capped or verdict is not None
+                continue
+            audits.append({"kind": kind, **result})
+            if verdict is not None:
+                forced_ok = forced_ok and result[verdict]
     body = {
         "algebra": alg.label,
         "lambda": describe_lambda(lam),

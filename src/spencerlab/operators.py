@@ -15,14 +15,16 @@ never substituted for the primary one; agreement between the two is measured
 by ``generator_formula_agreement``, not assumed.  Likewise the nilpotency
 audit reports the composite of consecutive operators exactly as measured.
 
-Assembly runs in integers.  With lam = lam_num / d_lam and K^{-1} =
-K_num / d_K over the lcms of their denominators, either generator form is
-an integer form over 2 * d_lam, so every generator image is an integer
-Sym^2 table over one common scale, a divisor of 2 * d_lam * d_K^2
-(``GeneratorImages``).  The Leibniz recursion runs on those tables and a
-matrix keeps integer columns plus one positive denominator: the scale with
-the gcd of it and every entry divided out.  Fractions are rebuilt only at
-the boundaries: single-element evaluation, reports and Matrix Market.
+Assembly runs in integers.  K^{-1} comes from the Killing form's blocks:
+adj(C) / det C on the Cartan block C, and 1 / K(e_r, f_r) between e_r and
+f_r.  With lam = lam_num / d_lam and K^{-1} = K_num / d_K over the lcms of
+their denominators, either generator form is an integer form over 2 * d_lam,
+so every generator image is an integer Sym^2 table over one common scale, a
+divisor of 2 * d_lam * d_K^2 (``GeneratorImages``).  The Leibniz recursion
+runs on those tables and a matrix keeps integer columns plus one positive
+denominator: the scale with the gcd of it and every entry divided out.
+Fractions are rebuilt only at the boundaries: single-element evaluation,
+reports and Matrix Market.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import getitem
 
+from .cartan import adjugate
 from .chevalley import LieAlgebraTable
 from .linalg import SparseCol, span_rank
 from .sym import DEFAULT_BASIS_CAP, SymElement, guard_sym_dim, rank_weights
@@ -115,14 +118,13 @@ def _form(
 
 
 def _kinv_columns(alg: LieAlgebraTable) -> tuple[list[list[tuple[int, int]]], int]:
-    """Sparse columns of d_K * K^{-1} in integers, and d_K."""
-    kinv = alg.killing_inverse
-    d_k = lcm(*(x.denominator for row in kinv for x in row))
-    cols = [
-        [(r, kinv[r][c].numerator * (d_k // kinv[r][c].denominator))
-         for r in range(alg.dim) if kinv[r][c]]
-        for c in range(alg.dim)
-    ]
+    """Sparse columns of d_K * K^{-1} in integers, and d_K (lcm of reduced denominators)."""
+    det, adj = adjugate(alg.killing_cartan)
+    pairs = alg.killing_pairs
+    d_k = lcm(*(det // gcd(det, x) for row in adj for x in row), *pairs)
+    cols = [[(r, x * d_k // det) for r, x in enumerate(col) if x] for col in zip(*adj)]
+    cols += [[(alg.f_index(r), d_k // p)] for r, p in enumerate(pairs)]
+    cols += [[(alg.e_index(r), d_k // p)] for r, p in enumerate(pairs)]
     return cols, d_k
 
 

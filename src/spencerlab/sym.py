@@ -98,10 +98,6 @@ class SymElement:
         return cls(degree, dim, {})
 
     @classmethod
-    def basis_vector(cls, dim: int, index: int) -> "SymElement":
-        return cls(1, dim, {(index,): Fraction(1)})
-
-    @classmethod
     def monomial(cls, dim: int, mono: tuple[int, ...], coeff=1) -> "SymElement":
         return cls(len(mono), dim, {tuple(sorted(mono)): Fraction(coeff)})
 

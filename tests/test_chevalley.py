@@ -9,6 +9,7 @@ import pytest
 from spencerlab.cartan import CartanDatum, build_root_system
 from spencerlab.chevalley import (
     ChevalleyError,
+    _killing_blocks,
     algebra,
     bracket,
     build_chevalley_basis,
@@ -19,6 +20,7 @@ from spencerlab.chevalley import (
     prove_jacobi,
     serialize_table,
 )
+from spencerlab.operators import _kinv_columns
 from spencerlab.sym import SymElement
 
 
@@ -67,6 +69,31 @@ def test_integer_structure_constants(g2):
     assert 3 in values
 
 
+def dense_killing(table):
+    """Oracle: the dense K(a, b) = trace(ad_a ad_b) over all basis pairs, as integers."""
+    dim, rows = table.dim, table.bracket_rows
+    k = [[0] * dim for _ in range(dim)]
+    flat = []
+    for a in range(dim):
+        entries = []
+        for c, val in rows[a].items():
+            for dd, coeff in val:
+                entries.append((c, dd, coeff))
+        flat.append(entries)
+    for a in range(dim):
+        for b in range(a, dim):
+            total = 0
+            row_b = rows[b]
+            for c, dd, coeff in flat[a]:
+                back = row_b.get(dd)
+                if back:
+                    for c2, coeff2 in back:
+                        if c2 == c:
+                            total += coeff * coeff2
+            k[a][b] = k[b][a] = total
+    return k
+
+
 def test_killing_root_theoretic_oracle():
     # K(h_i, h_j) must match the sum over roots of the weight products,
     # and K(e, f) must match K(h_i, h_beta)/beta(h_i).
@@ -76,21 +103,29 @@ def test_killing_root_theoretic_oracle():
         for i in range(rank):
             for j in range(rank):
                 s = sum(alg.weights[a][i] * alg.weights[a][j] for a in range(alg.dim))
-                assert alg.killing[i][j] == s
+                assert alg.killing_cartan[i][j] == s
         for r in range(alg.n_positive):
             ei, fi = alg.e_index(r), alg.f_index(r)
             w = alg.weights[ei]
             i = next(k for k in range(rank) if w[k])
             h_beta = dict(alg.bracket_basis(ei, fi))
-            k_h_hbeta = sum(Q(c) * alg.killing[i][jj] for jj, c in h_beta.items())
-            assert alg.killing[ei][fi] == k_h_hbeta / w[i]
+            k_h_hbeta = sum(Q(c) * alg.killing_cartan[i][jj] for jj, c in h_beta.items())
+            assert alg.killing_pairs[r] == k_h_hbeta / w[i]
 
 
-def test_killing_symmetric_nondegenerate(a2):
-    for a in range(a2.dim):
-        for b in range(a2.dim):
-            assert a2.killing[a][b] == a2.killing[b][a]
-    assert killing_determinant_sign(a2) != 0
+@pytest.mark.parametrize("label", ["A1", "A2", "B3", "C3", "D4", "G2", "F4", "E6", "E7"])
+def test_killing_blocks_match_dense_oracle(label):
+    # every trace outside the Cartan block and the (e_r, f_r) pairings is 0
+    alg = algebra(label)
+    expect = [[0] * alg.dim for _ in range(alg.dim)]
+    for i, row in enumerate(alg.killing_cartan):
+        expect[i][: alg.rank] = row
+    for r, v in enumerate(alg.killing_pairs):
+        expect[alg.e_index(r)][alg.f_index(r)] = expect[alg.f_index(r)][alg.e_index(r)] = v
+    assert dense_killing(alg) == expect
+    assert all(isinstance(v, int) for row in alg.killing_cartan for v in row)
+    assert all(isinstance(v, int) and v for v in alg.killing_pairs)
+    assert killing_determinant_sign(alg) != 0
 
 
 @pytest.mark.parametrize(
@@ -103,30 +138,58 @@ def test_killing_determinant_sign_from_pair_count(label):
     assert killing_determinant_sign(alg) == (-1) ** alg.n_positive
 
 
-def test_killing_inverse(g2):
-    for a in range(g2.dim):
-        for b in range(g2.dim):
-            v = sum(g2.killing[a][c] * g2.killing_inverse[c][b] for c in range(g2.dim))
-            assert v == Q(int(a == b))
+def test_killing_inverse():
+    # two root lengths, so the (e, f) pairings differ; K times the
+    # d_K K^{-1} columns of the assembly must be d_K times the identity
+    for label in ("G2", "F4"):
+        alg = algebra(label)
+        k = dense_killing(alg)
+        cols, d_k = _kinv_columns(alg)
+        assert len(set(alg.killing_pairs)) == 2
+        for b, col in enumerate(cols):
+            for a in range(alg.dim):
+                assert sum(k[a][c] * v for c, v in col) == d_k * (a == b)
+
+
+def test_bracket_term_of_the_wrong_weight_is_caught():
+    def misplace(table, rows):
+        # [e_1, e_2] = N e_(1+2) and its mirror, moved onto e_1
+        a, b = _root_root_pairs(table)[0]
+        rows[a][b] = tuple((a, v) for _c, v in rows[a][b])
+        rows[b][a] = tuple((a, v) for _c, v in rows[b][a])
+
+    table = _edited("A2", misplace)
+    with pytest.raises(ChevalleyError, match=r"basis pair \(2, 3\) has a term x_2 outside"):
+        _killing_blocks(table.bracket_rows, table.weights, table.rank, table.n_positive)
+
+
+def test_killing_block_checks_keep_their_messages(a1, a2):
+    # abelian: the Cartan block is 0, so its first leading minor vanishes
+    with pytest.raises(ChevalleyError, match="not positive definite on the Cartan block"):
+        _killing_blocks(tuple({} for _ in range(a2.dim)), a2.weights, 2, 3)
+    # [h, e] = 2e and [h, f] = -2f without [e, f]: K(h, h) = 8 but K(e, f) = 0
+    rows = ({1: ((1, 2),), 2: ((2, -2),)}, {0: ((1, -2),)}, {0: ((2, 2),)})
+    with pytest.raises(ChevalleyError, match=r"degenerate \(e, f\) Killing pairing at root index 0"):
+        _killing_blocks(rows, a1.weights, 1, 1)
 
 
 def test_bracket_elements_sl2(a1):
-    e = SymElement.basis_vector(3, 1)
-    f = SymElement.basis_vector(3, 2)
+    e = SymElement.monomial(3, (1,))
+    f = SymElement.monomial(3, (2,))
     assert bracket(a1, e, f).terms == {(0,): Q(1)}
     x = SymElement(1, 3, {(0,): Q(2), (1,): Q(-1)})
     assert bracket(a1, x, x).is_zero()
 
 
 def test_bracket_rejects_mismatched_algebra(a1, a2):
-    x = SymElement.basis_vector(a1.dim, 0)
-    y = SymElement.basis_vector(a2.dim, 0)
+    x = SymElement.monomial(a1.dim, (0,))
+    y = SymElement.monomial(a2.dim, (0,))
     with pytest.raises(ValueError, match="dim"):
         bracket(a1, x, y)
 
 
 def test_coadjoint_examples(a1):
-    h = SymElement.basis_vector(3, 0)
+    h = SymElement.monomial(3, (0,))
     lam_e = (Q(0), Q(1), Q(0))
     # -e*([h, .]) has value -2 on the e slot
     assert coadjoint(a1, h, lam_e) == (Q(0), Q(-2), Q(0))
@@ -139,7 +202,7 @@ def test_coadjoint_cartan_on_cartan_dual(a2):
     # x in the Cartan, lambda supported on Cartan dual slots -> 0
     lam = tuple(Q(1) if i < a2.rank else Q(0) for i in range(a2.dim))
     for i in range(a2.rank):
-        x = SymElement.basis_vector(a2.dim, i)
+        x = SymElement.monomial(a2.dim, (i,))
         assert coadjoint(a2, x, lam) == tuple(Q(0) for _ in range(a2.dim))
 
 
@@ -150,7 +213,7 @@ def test_coadjoint_invariance_identity(a2):
         xi = rng.randrange(a2.dim)
         yi = rng.randrange(a2.dim)
         lam = tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a2.dim))
-        x = SymElement.basis_vector(a2.dim, xi)
+        x = SymElement.monomial(a2.dim, (xi,))
         out = coadjoint(a2, x, lam)
         lhs = out[yi]
         rhs = sum((Q(v) * lam[c] for c, v in a2.bracket_basis(xi, yi)), Q(0))

@@ -2,7 +2,8 @@
 
 ``reference_columns`` is the former Fraction path kept verbatim in spirit:
 Fraction double-bracket forms in both formulas, ``form_to_sym2`` with the
-Fraction K^{-1} columns, the left-factor-first Leibniz recursion on
+Fraction K^{-1} columns (the dense oracle K of ``test_chevalley`` inverted
+by ``rref_dense``), the left-factor-first Leibniz recursion on
 ``SymElement`` images, and rows indexed by a dict over ``enumerate_basis``.
 The integer matrices must equal it entry for entry as Fraction(v, D), with D
 the lcm of the entry denominators; the mirror and nilpotency reports and the
@@ -16,13 +17,14 @@ import os
 import random
 import tempfile
 from fractions import Fraction as Q
+from functools import cache
 from math import lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spencerlab.chevalley import algebra
-from spencerlab.linalg import PRIME_POOL, span_rank
+from spencerlab.linalg import PRIME_POOL, rref_dense, span_rank
 from spencerlab.operators import (
     apply_delta,
     delta_constrained,
@@ -32,6 +34,8 @@ from spencerlab.operators import (
 )
 from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual
 from spencerlab.sym import SymElement, enumerate_basis, sym_product
+
+from test_chevalley import dense_killing
 
 ALGEBRAS = {label: algebra(label) for label in ("A1", "A2", "B2", "G2")}
 LAMBDA_KINDS = ("cartan", "random", "file-odd", "file-pool-prime")
@@ -87,8 +91,20 @@ def reference_form(alg, lam, g, formula):
     return out
 
 
+@cache
+def dense_killing_inverse(label):
+    """K^{-1} from the dense oracle K by Gauss-Jordan on [K | I], independent of the assembly."""
+    alg = algebra(label)
+    dim = alg.dim
+    aug = [[Q(v) for v in row] + [Q(int(i == j)) for j in range(dim)]
+           for i, row in enumerate(dense_killing(alg))]
+    reduced, pivots = rref_dense(aug)
+    assert pivots == list(range(dim))
+    return [row[dim:] for row in reduced]
+
+
 def reference_images(alg, lam, formula):
-    kinv = alg.killing_inverse
+    kinv = dense_killing_inverse(alg.label)
     kinv_cols = [[(r, kinv[r][c]) for r in range(alg.dim) if kinv[r][c]] for c in range(alg.dim)]
     images = []
     for g in range(alg.dim):

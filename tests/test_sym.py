@@ -44,16 +44,16 @@ def test_rank_weights_round_trip():
 
 
 def test_product_commutative_and_merges():
-    e = SymElement.basis_vector(3, 1)
-    f = SymElement.basis_vector(3, 2)
+    e = SymElement.monomial(3, (1,))
+    f = SymElement.monomial(3, (2,))
     assert sym_product(e, f) == sym_product(f, e)
     assert sym_product(e, f).terms == {(1, 2): Q(1)}
 
 
 def test_product_bilinearity_example():
     # (e + h)(e - h) = e.e - h.h
-    e = SymElement.basis_vector(3, 1)
-    h = SymElement.basis_vector(3, 0)
+    e = SymElement.monomial(3, (1,))
+    h = SymElement.monomial(3, (0,))
     left = e.add(h)
     right = e.add(h.scale(-1))
     prod = sym_product(left, right)
