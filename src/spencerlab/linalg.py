@@ -2,62 +2,77 @@
 
 Every sparse elimination goes through one class, :class:`Eliminator`.  It
 reduces vectors (dicts keyed by any totally ordered hashables) over the
-rationals or over F_p with one fixed pivot rule: vectors are reduced in the
-order given, a vector's lead is its smallest key, and a new pivot row is
-stored normalised with its lead entry removed.  Optionally each pivot also
-records the combination of inserted vectors (by caller tag) that produced
-it, which yields kernels and exact solves.
+rationals or modulo M with one fixed pivot rule: vectors are reduced in the
+order given, a vector's lead is its key of smallest position (by default
+the smallest key), and a new pivot row is stored normalised with its lead
+entry removed.  Optionally each pivot also records the combination of
+inserted vectors (by caller tag) that produced it, which yields kernels and
+exact solves.
 
 The kernel pipeline takes a rational matrix as integer columns plus one
 positive denominator D (the matrix is the columns divided by D, and D is
 the lcm of the reduced entry denominators):
 
 * small matrices are eliminated exactly at once;
-* larger ones get a sparse rank modulo at least three word-size primes
-  (entries are reduced as ``v % p``, since for p not dividing D the rank of
-  the integer columns mod p is that of the matrix; primes dividing D are
-  skipped; retried with fresh primes on disagreement).  The kernel is then
-  lifted from one tracked elimination mod the first of those primes p, in
-  the natural row and column order: each column that reduces to zero
-  yields its relation to earlier pivot columns mod p, and every residue is
-  lifted to a fraction n/d with |n|, d <= sqrt(p/2) by rational
-  reconstruction (Wang, 1981).  Scaling every column by D leaves the
-  free-variable kernel basis unchanged.
+* larger ones get one tracked elimination modulo M = p1*p2*p3, the product
+  of three word-size primes that do not divide D (entries are reduced as
+  ``v % M``; for p not dividing D the rank of the integer columns mod p is
+  that of the matrix).  That one pass yields the three modular ranks, the
+  kernel relations and, below, the lift.
 
+Why one pass mod M is the elimination mod each prime: Z/M is isomorphic to
+F_p1 x F_p2 x F_p3 (Chinese remainder theorem), and every step of the pass
+(subtract a multiple of a pivot row, scale by the inverse of a lead) acts
+componentwise.  A new pivot is kept only if its lead is a unit mod M, that
+is nonzero mod every p_i; otherwise the pass stops and the attempt moves on
+to the next three pool primes (at most four attempts, then
+:class:`RankDisagreement`).  So every pivot row, reduced mod p_i, is an
+echelon row with a nonzero lead, every vector that reduced to zero mod M
+reduced to zero mod p_i, and the pivot count is the rank mod each p_i: the
+three modular ranks are equal by construction.  A column that reduces to
+zero yields its relation to earlier pivot columns mod M; the pivot columns
+are those that raise the rank of the columns before them, which depends on
+the column order only, so the relation reduced mod p_i is the unique one a
+tracked pass mod p_i alone would give (Dixon, Numer. Math. 1982; Stein,
+*Modular Forms: A Computational Approach*, 2007, ch. 7).
+
+The pass lets the sparsest row lead (Markowitz, 1957), which keeps fill low
+on operators whose dense rows would otherwise lead: a position table, built
+once per matrix by a counting sort of the rows by entry count, orders rows
+by fewest entries, ties to the smaller row index, and the lead is the key
+of smallest position.  Pivot rows stay keyed by the original row indices.
+Neither a rank nor a relation depends on which row leads a pivot.
+
+Every residue of a relation is lifted to a fraction n/d with
+|n|, d <= sqrt(M/2), about 2^44, by rational reconstruction (Wang, 1981).
+Scaling every column by D leaves the free-variable kernel basis unchanged.
 The lifted vectors are accepted only if each passes the exact membership
-check.  That is a certificate: the tracked pass has the rank r mod p, so it
-yields m = ncols - r vectors; vectors in free-variable form are
-independent, so the nullity is at least m, and a modular rank bounds the
-rank from below, so rank + m = ncols pins both.  Each accepted vector ties
-a column to earlier columns only, so every column free mod p is free over
-Q; both free sets have m elements, so they are equal and the vectors are
-the rational free-variable basis, vector for vector.  If a reconstruction
-or a check fails, the kernel is eliminated over Q instead, so a failed
-lift costs one tracked pass.  ``repdecomp.is_g_submodule`` relies on the
-free-variable form of every returned kernel.  Combining several primes by
-the Chinese remainder theorem (Dixon, Numer. Math. 1982) would lift larger
-coefficients, but one prime lifts every kernel of the benchmark
-workloads.  "exact" in the method ``multi-modular+exact`` names an exact
-rational basis with an exact check, whichever way it was found.
-
-The modular rank passes let the sparsest row lead (Markowitz, 1957): row r
-is keyed ``count[r] * nrows + r``, with count[r] its number of entries, so
-the smallest key is a row with the fewest entries, which keeps fill low on
-operators whose dense rows would otherwise lead.  A rank depends on neither
-row nor column order, so the keys change no modular rank.  The kernel
-passes keep the natural order: a kernel basis depends only on the column
-order, so the kernel vectors do not change either.
+check.  That is a certificate: the pass has the rank r mod p1, so it yields
+m = ncols - r vectors; vectors in free-variable form are independent, so
+the nullity is at least m, and a modular rank bounds the rank from below,
+so rank + m = ncols pins both.  Each accepted vector ties a column to
+earlier columns only, so every column free mod p1 is free over Q; both free
+sets have m elements, so they are equal and the vectors are the rational
+free-variable basis, vector for vector.  If a reconstruction or a check
+fails, the kernel is eliminated over Q instead, so a failed lift costs one
+tracked pass.  ``repdecomp.is_g_submodule`` relies on the free-variable
+form of every returned kernel.  "exact" in the method
+``multi-modular+exact`` names an exact rational basis with an exact check,
+whichever way it was found.
 
 Either way every returned kernel vector is re-multiplied through the matrix
 and checked against zero, in integers, before the result is handed back; a
 failed check or a rank that cannot be certified raises
 :class:`CertificationError`.  ``rref_dense``, a dense exact Fraction
 elimination, has no caller in the package: the tests keep it as an
-independent reference for ranks, spans and inverses.
+independent reference for ranks, spans and inverses, as they keep
+``sparse_rank_modp`` and ``dense_rank_modp`` for modular ranks.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -124,18 +139,31 @@ def _sub_scaled(dst: dict, factor, src: dict, p: int | None) -> None:
                 dst.pop(r, None)
 
 
+class _NonUnitPivot(ArithmeticError):
+    """A new pivot's lead is not a unit modulo the eliminator's modulus."""
+
+
 class Eliminator:
-    """Sparse exact elimination over Q (``p=None``, Fraction values) or F_p.
+    """Sparse exact elimination over Q (``p=None``, Fraction values) or Z/p.
+
+    The modulus p is a prime, or a product of distinct primes: while every
+    new pivot's lead is a unit, the elimination mod the product is the
+    elimination mod each prime factor (see the module docs).  A lead that is
+    not a unit raises ``_NonUnitPivot`` from :meth:`insert`.
 
     ``pivots`` maps each lead key to its normalised row without the lead
     entry and, with ``track=True``, the combination of inserted vectors, by
     tag, that equals the full pivot row.  Vectors given to the constructor
-    are inserted under their positions as tags.
+    are inserted under their positions as tags.  The lead of a vector is its
+    smallest key, or, given ``position`` (a table indexed by key, such as
+    :func:`_row_positions`), its key of smallest position.
     """
 
-    def __init__(self, vectors: Iterable = (), p: int | None = None, track: bool = False):
+    def __init__(self, vectors: Iterable = (), p: int | None = None, track: bool = False,
+                 position: Sequence[int] | None = None):
         self.p = p
         self.track = track
+        self.key = None if position is None else position.__getitem__
         self.pivots: dict = {}
         for i, vec in enumerate(vectors):
             self.insert(vec, i)
@@ -154,9 +182,9 @@ class Eliminator:
 
         Returns the first lead without a pivot row, or None once cur is zero.
         """
-        pivots, p = self.pivots, self.p
+        pivots, p, key = self.pivots, self.p, self.key
         while cur:
-            lead = min(cur)
+            lead = min(cur, key=key)
             piv = pivots.get(lead)
             if piv is None:
                 return lead
@@ -172,7 +200,8 @@ class Eliminator:
 
         Returns None when the span grew.  Otherwise vec is dependent and the
         result is its relation: coefficients by tag, vec's own being 1, of
-        inserted vectors that sum to zero (empty when not tracking).
+        inserted vectors that sum to zero (empty when not tracking).  Raises
+        ``_NonUnitPivot`` if the span would grow by a lead that is not a unit.
         """
         cur = dict(vec)
         hist = {tag: Fraction(1) if self.p is None else 1} if self.track else None
@@ -180,7 +209,12 @@ class Eliminator:
         if lead is None:
             return {} if hist is None else hist
         factor = cur.pop(lead)
-        inv = 1 / Fraction(factor) if self.p is None else pow(factor, -1, self.p)
+        if self.p is None:
+            inv = 1 / Fraction(factor)
+        elif gcd(factor, self.p) == 1:
+            inv = pow(factor, -1, self.p)
+        else:
+            raise _NonUnitPivot(f"pivot at {lead!r} is not a unit modulo {self.p}")
         comb = None if hist is None else self._scaled(hist, inv)
         self.pivots[lead] = (self._scaled(cur, inv), comb)
         return None
@@ -242,7 +276,7 @@ def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -
     """Vectorised row-echelon rank mod p of integer columns, on the transpose.
 
     Not on the kernel path: the tests keep it as an independent reference
-    for :func:`sparse_rank_modp`.
+    rank, like :func:`sparse_rank_modp`.
     """
     import numpy as np
 
@@ -271,38 +305,46 @@ def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -
 
 
 def sparse_rank_modp(cols: Iterable[Iterable[tuple]], p: int) -> int:
-    """Rank modulo p of integer columns, given as (row key, value) pairs."""
+    """Rank modulo p of integer columns, given as (row key, value) pairs.
+
+    Not on the kernel path: the tests keep it as the per-prime reference
+    rank, like :func:`dense_rank_modp`.
+    """
     return Eliminator(_columns_mod_p(cols, p), p=p).rank
 
 
-class _SparsestRowLeads:
-    """Integer columns with row r re-keyed ``count[r] * nrows + r``.
+def _row_positions(cols: Sequence[SparseCol], nrows: int) -> memoryview:
+    """Position of each row when rows are sorted by entry count, then index.
 
-    Rows are counted once, on construction; each iteration (one per prime)
-    re-keys the columns lazily, so no keyed copy of the matrix is kept.
+    A counting sort: the row with the fewest entries gets position 0, and
+    rows with equal counts keep their index order.  The table holds 8-byte
+    machine integers, so it keeps no int object per row.
     """
+    count = [0] * nrows
+    for col in cols:
+        for r, _ in col:
+            count[r] += 1
+    # starts[c] hands out the positions of the rows with c entries, in order.
+    starts, total = {}, 0
+    for c, size in sorted(Counter(count).items()):
+        starts[c] = itertools.count(total)
+        total += size
+    position = memoryview(bytearray(8 * nrows)).cast("q")
+    for r, c in enumerate(count):
+        position[r] = next(starts[c])
+    return position
 
-    def __init__(self, cols: Sequence[SparseCol], nrows: int):
-        count = [0] * nrows
-        for col in cols:
-            for r, _ in col:
-                count[r] += 1
-        self.cols, self.nrows, self.count = cols, nrows, count
 
-    def __iter__(self):
-        count, nrows = self.count, self.nrows
-        for col in self.cols:
-            yield ((count[r] * nrows + r, v) for r, v in col)
-
-
-def _relations(cols: Iterable, p: int | None) -> tuple[list[dict], int]:
+def _relations(
+    cols: Iterable, p: int | None, position: Sequence[int] | None = None
+) -> tuple[list[dict], int]:
     """Relations of the columns that reduce to zero, and the rank.
 
     Column j is inserted under tag j into a tracked elimination over Q or
-    F_p; its relation is supported on j (coefficient 1) and earlier pivot
-    columns.
+    Z/p, with leads chosen by ``position`` when given; its relation is
+    supported on j (coefficient 1) and earlier pivot columns.
     """
-    elim = Eliminator(p=p, track=True)
+    elim = Eliminator(p=p, track=True, position=position)
     relations = []
     for j, col in enumerate(cols):
         relation = elim.insert(col, j)
@@ -336,20 +378,17 @@ def _rational_reconstruction(u: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _lifted_kernel(cols: Sequence[SparseCol], p: int) -> list[dict[int, Fraction]] | None:
-    """Kernel vectors lifted from one tracked pass mod p, or None.
+def _reconstruct(relations: list[dict], m: int) -> bool:
+    """Replace each residue mod m by its fraction in place; False if one has none.
 
-    The lift is returned only when every vector passes the exact membership
-    check (see the module docs).  Residues are replaced in place, so the
-    residues and the fractions are not held side by side.
+    In place, so the residues and the fractions are not held side by side.
     """
-    vectors, _ = _relations(_columns_mod_p(cols, p), p)
-    for vec in vectors:
+    for vec in relations:
         for j, u in vec.items():
-            vec[j] = _rational_reconstruction(u, p)
+            vec[j] = _rational_reconstruction(u, m)
             if vec[j] is None:
-                return None
-    return vectors if verify_kernel_vectors(cols, vectors) else None
+                return False
+    return True
 
 
 def verify_kernel_vectors(
@@ -392,35 +431,39 @@ def kernel_with_certificate(
         return vectors, RankCertificate([], [], True, "dense-exact", rank)
 
     pool = [p for p in PRIME_POOL if denominator % p]
-    keyed = _SparsestRowLeads(cols, nrows)
+    position = _row_positions(cols, nrows)
     for attempt in range(4):
         primes = pool[attempt * 3 : attempt * 3 + 3]
         if len(primes) < 3:
             raise RankDisagreement("prime pool exhausted")
-        ranks = [sparse_rank_modp(keyed, p) for p in primes]
-        if len(set(ranks)) == 1:
+        modulus = primes[0] * primes[1] * primes[2]
+        try:
+            vectors, rank = _relations(_columns_mod_p(cols, modulus), modulus, position)
             break
+        except _NonUnitPivot:
+            continue
     else:
-        raise RankDisagreement(f"modular ranks disagree persistently: {ranks}")
-    # Free the row counts: the tracked pass below sets the peak memory.
-    del keyed
+        raise RankDisagreement(
+            f"modular eliminations disagree persistently: in each of {attempt + 1} "
+            "prime triples a pivot vanished modulo some but not all of the primes"
+        )
+    ranks = [rank] * 3
 
-    if ranks[0] == ncols:
+    if rank == ncols:
         # Full column rank is already exact: the rank over the rationals is
         # bounded below by any modular rank and above by the column count.
         cert = RankCertificate(primes, ranks, True, "multi-modular+full-column-rank", ncols)
         return [], cert
 
-    vectors = _lifted_kernel(cols, primes[0])
-    if vectors is None:
+    if not (_reconstruct(vectors, modulus) and verify_kernel_vectors(cols, vectors)):
         vectors, exact_rank = sparse_kernel_exact(cols)
         if not verify_kernel_vectors(cols, vectors):
             raise CertificationError("exact kernel failed the membership check")
-        if exact_rank != ranks[0] or exact_rank + len(vectors) != ncols:
+        if exact_rank != rank or exact_rank + len(vectors) != ncols:
             raise RankDisagreement(
                 f"exact rank {exact_rank} does not confirm modular ranks {ranks}"
             )
-    return vectors, RankCertificate(primes, ranks, True, "multi-modular+exact", ranks[0])
+    return vectors, RankCertificate(primes, ranks, True, "multi-modular+exact", rank)
 
 
 def span_rank(vectors: Iterable) -> int:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import errno
-import itertools
 import json
 import math
 
@@ -226,9 +225,18 @@ def test_out_of_range_integer_options_exit_2(runner, argv):
 
 def test_certification_failure_exits_5(runner, monkeypatch):
     # A2 k=3 is 120 x 330, above the dense-exact tier, so its rank comes from
-    # the modular passes; ranks that never agree cannot be certified.
-    calls = itertools.count()
-    monkeypatch.setattr(linalg, "sparse_rank_modp", lambda cols, p: next(calls))
+    # the one pass modulo a product of three primes; if every prime triple
+    # meets a pivot that is not a unit, the rank cannot be certified.
+    moduli = []
+    relations = linalg._relations
+
+    def non_unit(cols, p, *rest):
+        if p is None:
+            return relations(cols, p, *rest)
+        moduli.append(p)
+        raise linalg._NonUnitPivot(f"pivot is not a unit modulo {p}")
+
+    monkeypatch.setattr(linalg, "_relations", non_unit)
     result = runner.invoke(
         main, ["kernel", "--algebra", "A2", "--k", "3", "--lambda", "preset:cartan1"]
     )
@@ -236,6 +244,7 @@ def test_certification_failure_exits_5(runner, monkeypatch):
     lines = result.output.splitlines()
     assert len(lines) == 1 and "disagree" in lines[0], result.output
     assert "Traceback" not in result.output
+    assert moduli == [math.prod(PRIME_POOL[i : i + 3]) for i in range(0, 12, 3)]
 
 
 def test_kernel_not_in_free_variable_form_exits_5(runner, monkeypatch):

@@ -108,10 +108,12 @@ def test_certificate_small_path():
     assert len(vectors) == 2
 
 
-def test_certificate_large_path_forced():
-    # 300 x 250 is above DENSE_ENTRY_LIMIT, so the modular ranks run.  The
-    # kernel coefficients are too large to lift from one prime, so the lift
-    # fails and the kernel is eliminated over Q, then checked exactly.
+def test_certificate_large_path_forced(monkeypatch):
+    # 300 x 250 is above DENSE_ENTRY_LIMIT, so the one pass modulo the
+    # product of three primes runs.  Its reconstruction bound, about 2^44,
+    # lifts every kernel coefficient of this rank-10 matrix, so the kernel
+    # comes from the lift and no elimination over Q runs.
+    monkeypatch.setattr(linalg, "sparse_kernel_exact", _refuse_fraction_kernel)
     rng = random.Random(5)
     nrows, ncols = 300, 250
     rank = 10
@@ -249,10 +251,12 @@ def test_certificates_never_take_the_dense_modular_tier(monkeypatch):
 @pytest.mark.parametrize("label,k,spec", [
     ("A2", 3, "preset:random:1003"),
     ("G2", 3, "preset:random:1000"),
+    ("G2", 2, "preset:random:1000"),
 ])
 def test_certificate_ranks_match_dense_reference(label, k, spec):
     # Rows of these operators carry uneven entry counts, so the sparsest-row
-    # lead reorders the modular elimination; the ranks must not move.
+    # lead reorders the modular elimination; the ranks must not move.  G2 k=2
+    # also has a nonzero kernel, so its pass records relations as well.
     mat = _spencer_matrix(label, k, spec)
     cols, nrows, ncols = mat.cols, mat.nrows, mat.ncols
     _, cert = kernel_with_certificate(cols, nrows, ncols, mat.denominator)
@@ -295,9 +299,10 @@ def _certified_counting_fallbacks(cols, nrows, ncols):
 
 
 # Integer matrices up to 5 x 6.  With entries in [-2, 2] every kernel
-# coefficient is a ratio of minors below 5500 by Hadamard's bound, which one
-# pool prime lifts; entries up to 10^6 give coefficients too large to lift,
-# which must take the elimination over Q.
+# coefficient is a ratio of minors below 5500 by Hadamard's bound, which the
+# product of three pool primes lifts; entries up to 10^6 give minors up to
+# about 2^106, beyond its bound of about 2^44, so such a kernel may take the
+# elimination over Q.
 _small_entries = st.integers(-2, 2)
 _int_entries = st.one_of(_small_entries, st.integers(-10**6, 10**6))
 _int_matrices = st.integers(1, 6).flatmap(
@@ -324,37 +329,112 @@ def test_lifted_kernel_equals_fraction_kernel(rows):
         assert fallbacks == 0
 
 
-def test_unlucky_prime_falls_back_to_the_fraction_kernel():
-    # Mod the first pool prime, column 0 vanishes and column 1 is the pivot;
-    # over Q column 0 is the pivot.  The rank is 1 either way, so the first
-    # prime's free set is wrong while its rank is right: the lifted vector
-    # fails the membership check.
-    p0 = PRIME_POOL[0]
-    cols = [[(0, p0)], [(0, 1)]]
+@pytest.mark.parametrize("which", [0, 1])
+def test_unlucky_prime_moves_to_the_next_prime_triple(which):
+    # Mod pool prime p (the first, or the middle one of the first triple),
+    # column 0 vanishes; over Q it is the pivot.  Its lead p is not a unit
+    # modulo the product of the first three primes, so the pass stops before
+    # any lift and the next three primes certify the kernel without the
+    # elimination over Q.
+    p = PRIME_POOL[which]
+    cols = [[(0, p)], [(0, 1)]]
     expected, _ = sparse_kernel_exact(cols)
-    assert expected == [{1: Q(1), 0: Q(-1, p0)}]
+    assert expected == [{1: Q(1), 0: Q(-1, p)}]
+    vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
+    assert vectors == expected and fallbacks == 0
+    assert cert.primes_used == list(PRIME_POOL[3:6]) and cert.modular_ranks == [1, 1, 1]
+    assert cert.rank == 1 and cert.exact_confirmed and cert.method == "multi-modular+exact"
+
+
+def test_wrong_lift_fails_the_check_and_falls_back_to_the_fraction_kernel(monkeypatch):
+    # A reconstruction that returns a wrong fraction yields vectors that the
+    # exact membership check rejects, so the kernel is eliminated over Q.
+    cols = [[(0, 2)], [(0, 3)]]
+    expected, _ = sparse_kernel_exact(cols)
+    assert expected == [{1: Q(1), 0: Q(-3, 2)}]
+    monkeypatch.setattr(linalg, "_rational_reconstruction", lambda u, m: Q(1))
     vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
     assert vectors == expected and fallbacks == 1
     assert cert.primes_used == list(PRIME_POOL[:3]) and cert.modular_ranks == [1, 1, 1]
     assert cert.rank == 1 and cert.exact_confirmed and cert.method == "multi-modular+exact"
 
 
+def test_eliminated_entry_divisible_by_a_prime_keeps_the_first_triple():
+    # The entry p0 of column 1 sits on the pivot row of column 0, so it is
+    # eliminated and never becomes a pivot: no unit check applies to it.
+    p0 = PRIME_POOL[0]
+    cols = [[(0, 1)], [(0, p0)]]
+    vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
+    assert vectors == [{1: Q(1), 0: Q(-p0)}] and fallbacks == 0
+    assert cert.primes_used == list(PRIME_POOL[:3]) and cert.modular_ranks == [1, 1, 1]
+
+
+def test_non_unit_pivots_in_every_triple_raise_rank_disagreement():
+    # One prime of each of the four triples divides the only pivot.
+    lead = PRIME_POOL[0] * PRIME_POOL[4] * PRIME_POOL[8] * PRIME_POOL[9]
+    with pytest.raises(linalg.RankDisagreement) as info:
+        _certified_counting_fallbacks([[(0, lead)], [(0, 1)]], 1, 2)
+    assert "\n" not in str(info.value) and "vanished modulo some" in str(info.value)
+
+
+def test_row_positions_put_the_sparsest_row_first():
+    # Row counts: row 0 has 3 entries, row 1 has 1, row 2 none, row 3 has 1,
+    # row 4 has 2.  Fewest entries first, ties to the smaller row index.
+    cols = [[(0, 1), (1, 1), (4, 1)], [(0, 1), (3, 1)], [(0, 1), (4, 1)]]
+    assert list(linalg._row_positions(cols, 5)) == [4, 1, 0, 2, 3]
+    assert list(linalg._row_positions([], 3)) == [0, 1, 2]
+    assert list(linalg._row_positions([[], []], 0)) == []
+
+
+def _relations_modulo(cols, nrows, ncols):
+    """The relations and rank of the certified pass, with the modulus it ran under."""
+    seen = []
+    relations = linalg._relations
+
+    def recorded(cols, p, *rest):
+        rels, rank = relations(cols, p, *rest)
+        if p is not None:
+            seen.append(([dict(rel) for rel in rels], rank, p))
+        return rels, rank
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "DENSE_ENTRY_LIMIT", 0)
+        mp.setattr(linalg, "_relations", recorded)
+        _, cert = kernel_with_certificate(cols, nrows, ncols)
+    rels, rank, modulus = seen[-1]
+    assert modulus == cert.primes_used[0] * cert.primes_used[1] * cert.primes_used[2]
+    return rels, rank, cert
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_int_matrices)
+def test_relations_modulo_the_product_reduce_to_each_prime(rows):
+    nrows, ncols = len(rows), len(rows[0])
+    cols = _to_cols(rows, ncols)
+    rels, rank, cert = _relations_modulo(cols, nrows, ncols)
+    for p in cert.primes_used:
+        expected, rank_p = linalg._relations(linalg._columns_mod_p(cols, p), p)
+        reduced = [{j: v % p for j, v in rel.items() if v % p} for rel in rels]
+        assert reduced == expected and rank_p == rank
+
+
 def test_kernel_too_large_to_lift_costs_one_tracked_pass(monkeypatch):
-    # The kernel coefficient -b/a has 200-bit parts, beyond any reconstruction
-    # bound of the pool: one tracked pass mod the first prime, then Q.
+    # The kernel coefficient -b/a has 200-bit parts, beyond the reconstruction
+    # bound modulo the product of the first three primes: one tracked pass
+    # modulo that product, then Q.
     a, b = 2**200 + 1, 3**126
     cols = [[(0, a)], [(0, b)]]
     passes = []
     relations = linalg._relations
 
-    def counted(cols, p):
+    def counted(cols, p, *rest):
         passes.append(p)
-        return relations(cols, p)
+        return relations(cols, p, *rest)
 
     monkeypatch.setattr(linalg, "_relations", counted)
     vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
     assert vectors == [{1: Q(1), 0: Q(-b, a)}] and fallbacks == 1
-    assert passes == [PRIME_POOL[0], None]
+    assert passes == [PRIME_POOL[0] * PRIME_POOL[1] * PRIME_POOL[2], None]
     assert cert.rank == 1 and cert.modular_ranks == [1, 1, 1]
 
 
