@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -17,7 +18,7 @@ from spencerlab.operators import (
     nilpotency_audit,
     verify_mirror,
 )
-from spencerlab.presets import cartan_dual, random_dual, zero_dual
+from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual, zero_dual
 from spencerlab.sym import SymElement, enumerate_basis, sym_product
 
 from conftest import load_golden
@@ -298,6 +299,22 @@ def test_nilpotency_audit_golden_a1(a1):
 def test_nilpotency_audit_golden_a2(a2):
     rep = nilpotency_audit(a2, random_dual(a2, seed=1234), 1)
     assert rep == load_golden("a2_random_nilpotency_k1.json")
+
+
+# -- assembly lock ------------------------------------------------------------------
+
+def test_assembled_matrices_match_golden_sha():
+    # sha256 of the Matrix Market text of each locked operator; a classical
+    # case has lambda null
+    for case in load_golden("assembly_sha.json")["cases"]:
+        alg = algebra(case["algebra"])
+        if case["lambda"] is None:
+            mat = delta_classical(alg, case["k"])
+        else:
+            lam = parse_lambda_spec(alg, case["lambda"])
+            mat = delta_constrained(alg, lam, case["k"], formula=case["formula"])
+        text = mat.to_matrix_market()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == case["sha256"], case
 
 
 # -- export ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ values that were computed once and must not drift.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from spencerlab.chevalley import algebra, serialize_table
 from spencerlab.cli import main as spencer
 from spencerlab.kernels import kernel_of_constrained
 from spencerlab.operators import delta_classical, delta_constrained, nilpotency_audit
-from spencerlab.presets import cartan_dual, random_dual
+from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual
 from spencerlab.repdecomp import decompose_character, is_g_submodule, weight_decomposition
 from spencerlab.varsolve import Weights, energy, random_bundle_and_config
 
@@ -42,6 +43,29 @@ def dump(name, obj):
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print("wrote", path)
+
+
+# (algebra, lambda spec or None for the classical operator, k, formula):
+# the matrices whose Matrix Market text ``assembly_sha.json`` locks.
+ASSEMBLY_CASES = (
+    ("G2", "preset:random:1000", 2, "symmetrized"),
+    ("G2", "preset:random:1000", 3, "symmetrized"),
+    ("A2", "preset:random:7", 3, "equivalent"),
+    ("G2", None, 2, None),
+    ("A1", "preset:zero", 3, "symmetrized"),
+    ("E7", "preset:cartan1", 2, "symmetrized"),
+)
+
+
+def assembly_record(label, spec, k, formula):
+    alg = algebra(label)
+    if spec is None:
+        mat = delta_classical(alg, k)
+    else:
+        mat = delta_constrained(alg, parse_lambda_spec(alg, spec), k, formula=formula)
+    text = mat.to_matrix_market()
+    return {"algebra": label, "lambda": spec, "k": k, "formula": formula,
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
 def main():
@@ -141,6 +165,9 @@ def main():
         with open(out, encoding="utf-8") as fh:
             info = json.load(fh)["body"]
     dump("g2_lie_table.json", {"table": serialize_table(algebra("G2")), "lie_info_body": info})
+
+    # sha256 of the Matrix Market text of assembled operators, one per case.
+    dump("assembly_sha.json", {"cases": [assembly_record(*case) for case in ASSEMBLY_CASES]})
 
 
 if __name__ == "__main__":
