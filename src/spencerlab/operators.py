@@ -20,25 +20,39 @@ adj(C) / det C on the Cartan block C, and 1 / K(e_r, f_r) between e_r and
 f_r.  With lam = lam_num / d_lam and K^{-1} = K_num / d_K over the lcms of
 their denominators, either generator form is an integer form over 2 * d_lam,
 so every generator image is an integer Sym^2 table over one common scale, a
-divisor of 2 * d_lam * d_K^2 (``GeneratorImages``).  The Leibniz recursion
-runs on those tables and a matrix keeps integer columns plus one positive
-denominator: the scale with the gcd of it and every entry divided out.
-Fractions are rebuilt only at the boundaries: single-element evaluation,
-reports and Matrix Market.
+divisor of 2 * d_lam * d_K^2 (``GeneratorImages``).
+
+Unrolled, the left-first rule delta(x_h r) = delta(x_h) r - delta(r) x_h is
+a closed form on a sorted monomial:
+
+    delta(x_{i_0} ... x_{i_{k-1}}) = sum_j (-1)^j delta(x_{i_j}) prod_{l != j} x_{i_l}.
+
+The classical operator is the same sum with every sign +1 and the images
+sum_i x_i [x_i, x_g].  One assembly, ``_assemble``, builds the columns of
+both matrices and of the single-element evaluator ``apply_delta``: it holds
+the image tables as CSR arrays and, per chunk of columns and per position j,
+expands the terms, indexes each term's row by ``sym.rank_weights`` lookups
+and sums duplicate entries after one argsort.  Its values are int64 when k
+times the largest sum of |entries| of one table is below 2^63, which bounds
+every entry's sum of absolute values, and Python ints in object arrays
+otherwise, in the same code.  A matrix keeps integer columns plus one
+positive denominator: the scale with the gcd of it and every entry divided
+out.  Fractions are rebuilt only at the boundaries: single-element
+evaluation, reports and Matrix Market.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
-from operator import getitem
 
 from .cartan import adjugate
 from .chevalley import LieAlgebraTable
 from .linalg import SparseCol, span_rank
-from .sym import DEFAULT_BASIS_CAP, SymElement, guard_sym_dim, rank_weights
+from .sym import DEFAULT_BASIS_CAP, SymElement, guard_sym_dim, monomial_at, rank_weights
 
 DualVector = tuple[Fraction, ...]
 IntTerms = dict[tuple[int, ...], int]
@@ -174,28 +188,105 @@ def generator_images(
     return GeneratorImages(alg.dim, tuple(tables), scale // c)
 
 
-def _delta_monomial(
-    mono: tuple[int, ...], tables: tuple[IntTerms, ...], memo: dict[tuple[int, ...], IntTerms]
-) -> IntTerms:
-    """Left-factor-first Leibniz recursion on a sorted monomial, in the images' scale.
+# Expanded image terms per assembly chunk.  Each term holds about a dozen
+# int64 temporaries, so a chunk's arrays stay under 1 MiB whatever the matrix.
+_CHUNK_TERMS = 1 << 13
 
-    delta(x_h r) = delta(x_h) r - delta(r) x_h.  Only proper suffixes r are
-    memoised: no caller reads a full monomial's image twice.
+
+def _assemble(
+    tables: tuple[IntTerms, ...],
+    monomials: Iterable[tuple[int, ...]],
+    nrows: int,
+    signs: list[int],
+) -> list[SparseCol]:
+    """Integer columns sum_j signs[j] * tables[m_j] * prod_{l != j} x_{m_l}.
+
+    One column per sorted k-tuple m of ``monomials`` (k = len(signs)); every
+    table is a Sym^2 image keyed by sorted pairs.  Rows are indexed by
+    ``sym.rank_weights`` over Sym^{k+1}, which has ``nrows`` monomials.
+    Columns are cut into chunks of at most ``_CHUNK_TERMS`` expanded terms
+    (a column with more is a chunk alone); in each chunk duplicate
+    (column, row) keys are summed after one argsort and zeros dropped.
+    Values are int64 when k times the largest sum of |entries| of one table
+    is below 2^63, so no sum can overflow, and Python ints otherwise.
     """
-    head, rest = mono[0], mono[1:]
-    if not rest:
-        return tables[head]
-    d_rest = memo.get(rest)
-    if d_rest is None:
-        d_rest = memo[rest] = _delta_monomial(rest, tables, memo)
-    out: IntTerms = {}
-    for m, v in tables[head].items():
-        key = tuple(sorted(m + rest))
-        out[key] = out.get(key, 0) + v
-    for m, v in d_rest.items():
-        key = tuple(sorted(m + (head,)))
-        out[key] = out.get(key, 0) - v
-    return {m: v for m, v in out.items() if v}
+    # Not a module-level import: loading numpy ahead of the engine modules
+    # shifted heap layout and raised the benchmark workloads' peak RSS.
+    import numpy as np
+
+    k, n = len(signs), len(tables)
+    mono = np.fromiter(chain.from_iterable(monomials), np.int64).reshape(-1, k)
+    bound = k * max((sum(map(abs, t.values())) for t in tables), default=0)
+    dtype = np.int64 if bound < 2**63 else object
+    sizes = np.array([len(t) for t in tables], np.int64)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    first = np.fromiter((a for t in tables for a, _ in t), np.int64, indptr[-1])
+    second = np.fromiter((b for t in tables for _, b in t), np.int64, indptr[-1])
+    values = np.array([v for t in tables for v in t.values()], dtype)
+    # weights[q * stride + c]: the rank weight of index c at position q.
+    stride = n + 1
+    weights = np.array(rank_weights(n, k + 1), np.int64).ravel()
+    pos = np.arange(k - 1)
+
+    # One int object per distinct row, shared by every column holding it.
+    row_ints = np.empty(nrows, object)
+    interned = np.zeros(nrows, bool)
+
+    # Each column counts one term more, so empty columns fill chunks too.
+    per_col = sizes[mono].sum(axis=1) + 1
+    ends = np.cumsum(per_col)
+    cols: list[SparseCol] = []
+    start = 0
+    while start < len(mono):
+        limit = ends[start] - per_col[start] + _CHUNK_TERMS
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        block = mono[start:stop]
+        width = stop - start
+        keys, vals = [], []
+        for j, sign in enumerate(signs):
+            gen = block[:, j]
+            rest = block[:, [l for l in range(k) if l != j]]
+            # The merged (k+1)-tuple puts a after the rest's ca = #(rest < a)
+            # smaller entries and b after cb = #(rest < b) of them plus a; a
+            # rest entry at i then moves 0, 1 or 2 places.  Prefix sums of the
+            # rest's weights at each shift give its part of the row as two
+            # lookups, lo[ca] + hi[cb], with no sort.
+            prefix = [np.zeros((width, k), np.int64) for _ in range(3)]
+            for shift, out in enumerate(prefix):
+                np.cumsum(weights[(pos + shift) * stride + rest], axis=1, out=out[:, 1:])
+            lo = (prefix[0] - prefix[1]).ravel()
+            hi = (prefix[1] - prefix[2] + prefix[2][:, -1:]).ravel()
+            count = sizes[gen]
+            col = np.repeat(np.arange(width), count)
+            term = np.repeat(indptr[gen] - (np.cumsum(count) - count), count)
+            term += np.arange(len(term))
+            a, b = first[term], second[term]
+            ca = (rest[col] < a[:, None]).sum(axis=1)
+            cb = (rest[col] < b[:, None]).sum(axis=1)
+            row = weights[ca * stride + a] + weights[(cb + 1) * stride + b]
+            row += lo[col * k + ca] + hi[col * k + cb]
+            keys.append(col * nrows + row)
+            vals.append(values[term] * sign)
+        key = np.concatenate(keys)
+        val = np.concatenate(vals)
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        key, val = key[heads], np.add.reduceat(val, heads)
+        nonzero = np.flatnonzero(val)
+        key, val = key[nonzero], val[nonzero]
+        col_of, row = np.divmod(key, nrows)
+        fresh = row[np.flatnonzero(~interned[row])]
+        row_ints[fresh] = fresh.tolist()
+        interned[fresh] = True
+        chunk_rows = row_ints[row].tolist()
+        chunk_vals = val.tolist()
+        edge = 0
+        for end in np.searchsorted(col_of, np.arange(1, width + 1)).tolist():
+            cols.append(list(zip(chunk_rows[edge:end], chunk_vals[edge:end])))
+            edge = end
+        start = stop
+    return cols
 
 
 def apply_delta(
@@ -204,17 +295,23 @@ def apply_delta(
     s: SymElement,
     images: GeneratorImages | None = None,
 ) -> SymElement:
-    """Constraint-coupled operator applied to one element (no full matrix)."""
+    """Constraint-coupled operator applied to one element (no full matrix).
+
+    Assembles the columns of the element's monomials and combines them with
+    its coefficients; Sym^{k+1} must be within the default basis cap.
+    """
     lam = check_dual_vector(alg, lam)
     if images is None:
         images = generator_images(alg, lam)
-    memo: dict[tuple[int, ...], IntTerms] = {}
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for mono, coeff in s.terms.items():
-        for m, v in _delta_monomial(mono, images.tables, memo).items():
-            acc[m] = acc.get(m, 0) + coeff * v
-    terms = {m: Fraction(c, images.scale) for m, c in acc.items() if c}
-    return SymElement(s.degree + 1, alg.dim, terms)
+    n, k = alg.dim, s.degree
+    nrows = guard_sym_dim(n, k + 1)
+    cols = _assemble(images.tables, s.terms, nrows, [(-1) ** j for j in range(k)])
+    acc: dict[int, Fraction] = {}
+    for col, coeff in zip(cols, s.terms.values()):
+        for r, v in col:
+            acc[r] = acc.get(r, 0) + coeff * v
+    terms = {monomial_at(n, k + 1, r): Fraction(c, images.scale) for r, c in acc.items() if c}
+    return SymElement(k + 1, n, terms)
 
 
 def _reduced(cols: list[SparseCol], scale: int) -> tuple[list[SparseCol], int]:
@@ -317,11 +414,6 @@ class SpencerMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _column(terms: IntTerms, weights: tuple[tuple[int, ...], ...]) -> SparseCol:
-    """Integer terms as a sparse column, rows indexed by ``sym.rank_weights``."""
-    return sorted((sum(map(getitem, weights, mono)), v) for mono, v in terms.items())
-
-
 def delta_constrained(
     alg: LieAlgebraTable,
     lam: DualVector,
@@ -337,28 +429,25 @@ def delta_constrained(
     ncols = guard_sym_dim(n, k, cap)
     nrows = guard_sym_dim(n, k + 1, cap)
     images = generator_images(alg, lam, formula=formula)
-    weights = rank_weights(n, k + 1)
-    memo: dict[tuple[int, ...], IntTerms] = {}
-    cols = [
-        _column(_delta_monomial(mono, images.tables, memo), weights)
-        for mono in combinations_with_replacement(range(n), k)
-    ]
+    monomials = combinations_with_replacement(range(n), k)
+    cols = _assemble(images.tables, monomials, nrows, [(-1) ** j for j in range(k)])
     variant = "constrained" if formula == "symmetrized" else "equivalent-form"
     return SpencerMatrix(
         variant, lam, k, k + 1, alg.label, n, nrows, ncols, *_reduced(cols, images.scale)
     )
 
 
-def _classical_terms(alg: LieAlgebraTable, mono: tuple[int, ...]) -> IntTerms:
-    """Classical operator on one sorted monomial, in integers."""
-    out: IntTerms = {}
-    for j in range(len(mono)):
-        rest = mono[:j] + mono[j + 1 :]
+def _classical_images(alg: LieAlgebraTable) -> tuple[IntTerms, ...]:
+    """sum_i x_i [x_i, x_g] for every generator g, as integer Sym^2 terms."""
+    tables = []
+    for g in range(alg.dim):
+        out: IntTerms = {}
         for i in range(alg.dim):
-            for c, bcoeff in alg.bracket_basis(i, mono[j]):
-                key = tuple(sorted(rest + (i, c)))
+            for c, bcoeff in alg.bracket_basis(i, g):
+                key = (i, c) if i <= c else (c, i)
                 out[key] = out.get(key, 0) + bcoeff
-    return {m: v for m, v in out.items() if v}
+        tables.append({m: v for m, v in out.items() if v})
+    return tuple(tables)
 
 
 def delta_classical(
@@ -370,11 +459,8 @@ def delta_classical(
     n = alg.dim
     ncols = guard_sym_dim(n, k, cap)
     nrows = guard_sym_dim(n, k + 1, cap)
-    weights = rank_weights(n, k + 1)
-    cols = [
-        _column(_classical_terms(alg, mono), weights)
-        for mono in combinations_with_replacement(range(n), k)
-    ]
+    monomials = combinations_with_replacement(range(n), k)
+    cols = _assemble(_classical_images(alg), monomials, nrows, [1] * k)
     return SpencerMatrix("classical", None, k, k + 1, alg.label, n, nrows, ncols, cols)
 
 

@@ -78,6 +78,25 @@ def rank_weights(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def monomial_at(n: int, k: int, index: int) -> tuple[int, ...]:
+    """The monomial at ``index`` in the enumerate_basis order of Sym^k.
+
+    The inverse of the ``rank_weights`` index: position by position, skip
+    the C(n - v + t - 1, t) monomials whose next index is v, with t indices
+    still to follow, until ``index`` falls inside one such block.
+    """
+    if not 0 <= index < sym_dim(n, k):
+        raise ValueError(f"index {index} is outside Sym^{k} of a dimension-{n} space")
+    out = []
+    v = 0
+    for t in range(k - 1, -1, -1):
+        while index >= (block := comb(n - v + t - 1, t)):
+            index -= block
+            v += 1
+        out.append(v)
+    return tuple(out)
+
+
 @dataclass
 class SymElement:
     """Sparse exact-rational element of Sym^k, keyed by sorted index tuples."""

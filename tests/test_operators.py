@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
+from spencerlab import operators
 from spencerlab.chevalley import algebra, bracket
 from spencerlab.operators import (
     SpencerMatrix,
@@ -22,6 +24,7 @@ from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual, zero
 from spencerlab.sym import SymElement, enumerate_basis, sym_product
 
 from conftest import load_golden
+from test_integer_assembly import reference_columns
 
 
 # -- independent dense oracles ------------------------------------------------
@@ -239,6 +242,72 @@ def test_equivalent_formula_full_matrix_agrees(a2):
         eqv = delta_constrained(a2, lam, k, formula="equivalent")
         assert sym.fraction_columns() == eqv.fraction_columns()
         assert eqv.variant == "equivalent-form"
+
+
+# -- chunked assembly ---------------------------------------------------------------
+
+def test_object_values_match_fraction_reference(g2, tmp_path):
+    # numerators near 10^30 push the images past the int64 bound, so the
+    # assembly sums Python ints in object arrays
+    rng = random.Random(30)
+    entries = [[0, 1] for _ in range(g2.dim)]
+    for i in rng.sample(range(g2.dim), 4):
+        entries[i] = [rng.choice([-1, 1]) * rng.randrange(10**29, 10**30), rng.choice([1, 3, 7])]
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    lam = parse_lambda_spec(g2, f"file:{path}")
+    images = generator_images(g2, lam)
+    for k in (1, 2):
+        assert k * max(sum(map(abs, t.values())) for t in images.tables) >= 2**63
+        mat = delta_constrained(g2, lam, k)
+        assert all(type(v) is int for col in mat.cols for _, v in col)
+        assert mat.fraction_columns() == reference_columns(g2, lam, k)
+
+
+def test_chunk_size_does_not_change_columns(a2, g2, monkeypatch):
+    lam = random_dual(g2, seed=1000)
+    expect = (delta_constrained(g2, lam, 3).cols, delta_classical(a2, 3).cols)
+    for budget in (1, 10**9):
+        monkeypatch.setattr(operators, "_CHUNK_TERMS", budget)
+        got = (delta_constrained(g2, lam, 3).cols, delta_classical(a2, 3).cols)
+        assert got == expect
+
+
+def test_degree_one_columns_are_the_generator_images(a2):
+    lam = random_dual(a2, seed=12)
+    images = generator_images(a2, lam)
+    mat = delta_constrained(a2, lam, 1)
+    assert (mat.nrows, mat.ncols) == (36, 8)
+    basis2 = enumerate_basis(a2.dim, 2)
+    for g, col in enumerate(mat.fraction_columns()):
+        assert {basis2[r]: v for r, v in col} == images[g].terms
+
+
+def test_zero_lambda_empty_tables(a1, g2):
+    for alg in (a1, g2):
+        for k in (1, 2, 3):
+            mat = delta_constrained(alg, zero_dual(alg), k)
+            assert len(mat.cols) == mat.ncols and mat.is_zero()
+            assert mat.denominator == 1
+    el = SymElement(2, g2.dim, {(0, 3): Q(2), (5, 9): Q(-1, 3)})
+    assert apply_delta(g2, zero_dual(g2), el).is_zero()
+
+
+def test_apply_delta_agrees_with_matrix_columns(a2, g2):
+    rng = random.Random(5)
+    for alg, k, seed in ((a2, 2, 3), (g2, 3, 1000), (a2, 1, 9)):
+        lam = random_dual(alg, seed=seed)
+        mat = delta_constrained(alg, lam, k)
+        basis = enumerate_basis(alg.dim, k)
+        rows = enumerate_basis(alg.dim, k + 1)
+        picks = rng.sample(range(len(basis)), 6)
+        coeffs = {j: Q(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])) for j in picks}
+        el = SymElement(k, alg.dim, {basis[j]: c for j, c in coeffs.items()})
+        expect: dict = {}
+        for j, c in coeffs.items():
+            for r, v in mat.fraction_columns()[j]:
+                expect[rows[r]] = expect.get(rows[r], 0) + c * v
+        assert apply_delta(alg, lam, el).terms == {m: v for m, v in expect.items() if v}
 
 
 # -- mirror antisymmetry ----------------------------------------------------------

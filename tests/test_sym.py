@@ -11,6 +11,7 @@ from spencerlab.sym import (
     ResourceCapExceeded,
     SymElement,
     enumerate_basis,
+    monomial_at,
     rank_weights,
     sym_dim,
     sym_product,
@@ -41,6 +42,15 @@ def test_rank_weights_round_trip():
         weights = rank_weights(n, k)
         for i, mono in enumerate(combinations_with_replacement(range(n), k)):
             assert sum(weights[q][c] for q, c in enumerate(mono)) == i
+
+
+def test_monomial_at_inverts_the_basis_order():
+    for n, k in [(1, 3), (3, 2), (5, 3), (8, 2), (4, 5)]:
+        for i, mono in enumerate(combinations_with_replacement(range(n), k)):
+            assert monomial_at(n, k, i) == mono
+    for bad in (-1, sym_dim(4, 3)):
+        with pytest.raises(ValueError, match="outside"):
+            monomial_at(4, 3, bad)
 
 
 def test_product_commutative_and_merges():
