@@ -13,7 +13,8 @@ The companion evaluator ``_form(..., "equivalent")`` (the double bracket
 plus half commutator formula) is kept as an independent second route and is
 never substituted for the primary one; agreement between the two is measured
 by ``generator_formula_agreement``, not assumed.  Likewise the nilpotency
-audit reports the composite of consecutive operators exactly as measured.
+audit reports the composite of consecutive operators exactly as measured;
+its rank is the certified rank of ``linalg.kernel_with_certificate``.
 
 Assembly runs in integers.  K^{-1} comes from the Killing form's blocks:
 adj(C) / det C on the Cartan block C, and 1 / K(e_r, f_r) between e_r and
@@ -51,7 +52,7 @@ from math import gcd, lcm
 
 from .cartan import adjugate
 from .chevalley import LieAlgebraTable
-from .linalg import SparseCol, span_rank
+from .linalg import SparseCol, kernel_with_certificate
 from .sym import DEFAULT_BASIS_CAP, SymElement, guard_sym_dim, monomial_at, rank_weights
 
 DualVector = tuple[Fraction, ...]
@@ -509,13 +510,15 @@ def nilpotency_audit(
     upper = delta_constrained(alg, lam, k + 1, cap)
     composite = upper.compose(lower)
     max_entry = composite.max_abs_entry()
-    rank = span_rank(composite.cols)
+    _, cert = kernel_with_certificate(
+        composite.cols, composite.nrows, composite.ncols, composite.denominator
+    )
     return {
         "algebra": alg.label,
         "k": k,
         "composite_shape": [composite.nrows, composite.ncols],
         "composite_is_zero": composite.is_zero(),
-        "composite_rank": rank,
+        "composite_rank": cert.rank,
         "max_abs_entry": f"{max_entry.numerator}/{max_entry.denominator}",
         "nnz": composite.nnz(),
     }

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 
 from spencerlab import operators
 from spencerlab.chevalley import algebra, bracket
+from spencerlab.linalg import span_rank
 from spencerlab.operators import (
     SpencerMatrix,
     _form,
@@ -363,6 +364,15 @@ def test_nilpotency_audit_golden_a1(a1):
     rep = nilpotency_audit(a1, cartan_dual(a1, 1), 1)
     assert rep["composite_shape"] == [10, 3]
     assert rep == load_golden("a1_nilpotency_k1.json")
+
+
+def test_nilpotency_rank_matches_span_rank(a2, g2):
+    # the certified composite rank against the Fraction elimination over Q
+    for alg, lam, k in ((a2, random_dual(a2, seed=1234), 1), (a2, random_dual(a2, seed=3), 2),
+                        (g2, cartan_dual(g2, 1), 1)):
+        rep = nilpotency_audit(alg, lam, k)
+        composite = delta_constrained(alg, lam, k + 1).compose(delta_constrained(alg, lam, k))
+        assert rep["composite_rank"] == span_rank(composite.cols)
 
 
 def test_nilpotency_audit_golden_a2(a2):
