@@ -228,6 +228,7 @@ def _assemble(
     stride = n + 1
     weights = np.array(rank_weights(n, k + 1), np.int64).ravel()
     pos = np.arange(k - 1)
+    shifts = np.arange(3)[:, None, None]
 
     # One int object per distinct row, shared by every column holding it.
     row_ints = np.empty(nrows, object)
@@ -252,9 +253,8 @@ def _assemble(
             # rest entry at i then moves 0, 1 or 2 places.  Prefix sums of the
             # rest's weights at each shift give its part of the row as two
             # lookups, lo[ca] + hi[cb], with no sort.
-            prefix = [np.zeros((width, k), np.int64) for _ in range(3)]
-            for shift, out in enumerate(prefix):
-                np.cumsum(weights[(pos + shift) * stride + rest], axis=1, out=out[:, 1:])
+            prefix = np.zeros((3, width, k), np.int64)
+            prefix[:, :, 1:] = np.cumsum(weights[(shifts + pos) * stride + rest], axis=2)
             lo = (prefix[0] - prefix[1]).ravel()
             hi = (prefix[1] - prefix[2] + prefix[2][:, -1:]).ravel()
             count = sizes[gen]
