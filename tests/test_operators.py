@@ -294,7 +294,7 @@ def test_apply_delta_agrees_with_matrix_columns(a2, g2):
     rng = random.Random(5)
     for alg, k, seed in ((a2, 2, 3), (g2, 3, 1000), (a2, 1, 9)):
         lam = random_dual(alg, seed=seed)
-        mat = delta_constrained(alg, lam, k)
+        cols = delta_constrained(alg, lam, k).fraction_columns()
         basis = enumerate_basis(alg.dim, k)
         rows = enumerate_basis(alg.dim, k + 1)
         picks = rng.sample(range(len(basis)), 6)
@@ -302,7 +302,7 @@ def test_apply_delta_agrees_with_matrix_columns(a2, g2):
         el = SymElement(k, alg.dim, {basis[j]: c for j, c in coeffs.items()})
         expect: dict = {}
         for j, c in coeffs.items():
-            for r, v in mat.fraction_columns()[j]:
+            for r, v in cols[j]:
                 expect[rows[r]] = expect.get(rows[r], 0) + c * v
         assert apply_delta(alg, lam, el).terms == {m: v for m, v in expect.items() if v}
 
