@@ -205,9 +205,10 @@ def _assemble(
     One column per sorted k-tuple m of ``monomials`` (k = len(signs)); every
     table is a Sym^2 image keyed by sorted pairs.  Rows are indexed by
     ``sym.rank_weights`` over Sym^{k+1}, which has ``nrows`` monomials.
-    Columns are cut into chunks of at most ``_CHUNK_TERMS`` expanded terms
-    (a column with more is a chunk alone); in each chunk duplicate
-    (column, row) keys are summed after one argsort and zeros dropped.
+    Columns are cut into chunks whose expanded terms, plus one per column,
+    stay within ``_CHUNK_TERMS`` (a column with more is a chunk alone); in
+    each chunk duplicate (column, row) keys are summed after one argsort and
+    zeros dropped.
     Values are int64 when k times the largest sum of |entries| of one table
     is below 2^63, so no sum can overflow, and Python ints otherwise.
     """
