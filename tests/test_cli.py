@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import math
 
@@ -535,6 +536,14 @@ def test_lie_info_g2_table_matches_golden(runner, tmp_path):
                                        "--table", str(table_path)]))
     assert rep["body"] == golden["lie_info_body"]
     assert json.loads(table_path.read_text()) == golden["table"]
+
+
+@pytest.mark.parametrize("case", load_golden("report_body_sha.json")["cases"],
+                         ids=lambda case: " ".join(case["args"][:5]))
+def test_report_body_matches_golden_sha(runner, case):
+    # sha256 of the canonical body; the manifest carries a timestamp
+    body = body_bytes(_report(runner.invoke(main, case["args"])))
+    assert hashlib.sha256(body).hexdigest() == case["sha256"]
 
 
 @pytest.mark.parametrize("cap, d, n, shown", [

@@ -23,6 +23,7 @@ from spencerlab.cli import main as spencer
 from spencerlab.kernels import kernel_of_constrained
 from spencerlab.operators import delta_classical, delta_constrained, nilpotency_audit
 from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual
+from spencerlab.reports import body_bytes
 from spencerlab.repdecomp import decompose_character, is_g_submodule, weight_decomposition
 from spencerlab.varsolve import Weights, energy, random_bundle_and_config
 
@@ -66,6 +67,27 @@ def assembly_record(label, spec, k, formula):
     text = mat.to_matrix_market()
     return {"algebra": label, "lambda": spec, "k": k, "formula": formula,
             "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+# CLI argument lists whose report body ``report_body_sha.json`` locks.
+REPORT_BODY_CASES = (
+    ["kernel", "--algebra", "A2", "--k", "2", "--lambda", "preset:random:5",
+     "--basis", "--decompose"],
+    ["kernel", "--algebra", "G2", "--k", "2", "--lambda", "preset:random:1000",
+     "--basis", "--decompose"],
+    ["verify", "--algebra", "A2", "--lambda", "preset:random:11", "--k-max", "2"],
+    ["cohomology", "--torus", "2", "--n", "4", "--algebra", "A1", "--k", "2",
+     "--lambda", "preset:cartan1"],
+)
+
+
+def report_body_record(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        spencer([*args, "--out", out], standalone_mode=False)
+        with open(out, encoding="utf-8") as fh:
+            body = body_bytes(json.load(fh))
+    return {"args": list(args), "sha256": hashlib.sha256(body).hexdigest()}
 
 
 def main():
@@ -168,6 +190,11 @@ def main():
 
     # sha256 of the Matrix Market text of assembled operators, one per case.
     dump("assembly_sha.json", {"cases": [assembly_record(*case) for case in ASSEMBLY_CASES]})
+
+    # sha256 of the canonical report body of CLI runs; the manifest carries
+    # a timestamp and is left out.
+    dump("report_body_sha.json",
+         {"cases": [report_body_record(args) for args in REPORT_BODY_CASES]})
 
 
 if __name__ == "__main__":
