@@ -8,6 +8,16 @@ caller as a Hodge number.  When the two bounds coincide the dimension is
 forced; when the lower bound exceeds the upper one, the hypotheses can only
 be saved by a zero kernel.  The upper bound is an input parameter here, not
 something computed from the algebra, and the report says so.
+
+A kernel is kept in one form, ``KernelBasis.coords``: the free-variable
+basis from ``linalg``, over columns in lexicographic monomial order.  Each
+vector has coefficient 1 at its largest column, its free monomial f; the
+free columns increase along the list, and no vector touches another's f.
+That is the reduced echelon form of the span, so it depends on the span
+alone: two kernels are equal exactly when their ``coords`` lists are.  And
+x lies in the span K exactly when x = sum_f x[f] * K_f, since the
+difference vanishes on every f and the only such vector of K is 0.
+``KernelBasis.basis`` builds Sym^k elements for the report only.
 """
 
 from __future__ import annotations
@@ -18,10 +28,10 @@ from fractions import Fraction
 from .cartan import CartanError
 from .chevalley import LieAlgebraTable
 from .linalg import (
+    CertificationError,
     RankCertificate,
     RankDisagreement,
     kernel_with_certificate,
-    same_subspace,
 )
 from .operators import DualVector, SpencerMatrix, delta_constrained, neg_dual
 from .sym import DEFAULT_BASIS_CAP, SymElement, enumerate_basis
@@ -32,33 +42,54 @@ class KernelBasis:
     degree: int
     algebra_label: str
     dim: int  # kernel dimension
-    basis: list[SymElement] = field(repr=False)
-    coords: list[dict[int, Fraction]] = field(repr=False)  # over column monomials
+    coords: list[dict[int, Fraction]] = field(repr=False)  # free-variable form, by column
+    monomials: list[tuple[int, ...]] = field(repr=False)  # the columns, enumerate_basis order
+    algebra_dim: int
+
+    @property
+    def basis(self) -> list[SymElement]:
+        """The kernel vectors as Sym^k elements, built from ``coords`` on each read."""
+        mons = self.monomials
+        return [SymElement(self.degree, self.algebra_dim, {mons[j]: v for j, v in vec.items()})
+                for vec in self.coords]
 
 
 def kernel(mat: SpencerMatrix) -> tuple[KernelBasis, RankCertificate]:
     """Exact nullspace of a Spencer matrix with its rank certificate."""
     vectors, cert = kernel_with_certificate(mat.cols, mat.nrows, mat.ncols, mat.denominator)
-    col_basis = enumerate_basis(mat.dim, mat.k_from)
-    basis = []
-    for vec in vectors:
-        el = SymElement.zero(mat.k_from, mat.dim)
-        for j, v in vec.items():
-            el.add_term(col_basis[j], v)
-        basis.append(el)
-    kb = KernelBasis(
-        degree=mat.k_from,
-        algebra_label=mat.algebra_label,
-        dim=len(basis),
-        basis=basis,
-        coords=vectors,
-    )
+    kb = KernelBasis(degree=mat.k_from, algebra_label=mat.algebra_label, dim=len(vectors),
+                     coords=vectors, monomials=enumerate_basis(mat.dim, mat.k_from),
+                     algebra_dim=mat.dim)
     if cert.rank + kb.dim != mat.ncols:
         raise RankDisagreement(
             f"rank {cert.rank} plus kernel dimension {kb.dim} is not the "
             f"column count {mat.ncols}"
         )
     return kb, cert
+
+
+def free_monomials(kb: KernelBasis) -> dict[tuple[int, ...], int]:
+    """The free monomial of each kernel vector, mapped to the vector's index.
+
+    Raises ``CertificationError`` unless ``coords`` is in free-variable form
+    (module docs); as the free columns increase, one O(nnz) pass checks it.
+    """
+    free, mons, last = {}, kb.monomials, -1
+    for i, vec in enumerate(kb.coords):
+        f = max(vec, default=last)
+        if f <= last:
+            raise CertificationError(f"kernel vector {i} is zero or out of free-monomial order")
+        if vec[f] != 1:
+            raise CertificationError(
+                f"kernel vector {i} has coefficient {vec[f]} at its free monomial {mons[f]}"
+            )
+        for mono in map(mons.__getitem__, vec):
+            if mono in free:
+                raise CertificationError(
+                    f"kernel vector {i} touches the free monomial {mono} of vector {free[mono]}"
+                )
+        free[mons[f]], last = i, f
+    return free
 
 
 def kernel_of_constrained(
@@ -70,16 +101,17 @@ def kernel_of_constrained(
 def mirror_stability_check(
     alg: LieAlgebraTable, lam: DualVector, k: int, cap: int = DEFAULT_BASIS_CAP
 ) -> dict:
-    """Verdict on ker delta(lam) = ker delta(-lam) as exact subspaces."""
+    """Verdict on ker delta(lam) = ker delta(-lam) as exact subspaces (module docs)."""
     kb_plus, _ = kernel_of_constrained(alg, lam, k, cap)
     kb_minus, _ = kernel_of_constrained(alg, neg_dual(lam), k, cap)
-    equal = same_subspace(kb_plus.coords, kb_minus.coords)
+    free_monomials(kb_plus)
+    free_monomials(kb_minus)
     return {
         "algebra": alg.label,
         "k": k,
         "dim_plus": kb_plus.dim,
         "dim_minus": kb_minus.dim,
-        "kernels_equal": equal,
+        "kernels_equal": kb_plus.coords == kb_minus.coords,
     }
 
 

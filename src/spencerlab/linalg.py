@@ -55,8 +55,8 @@ earlier columns only, so every column free mod p1 is free over Q; both free
 sets have m elements, so they are equal and the vectors are the rational
 free-variable basis, vector for vector.  If a reconstruction or a check
 fails, the kernel is eliminated over Q instead, so a failed lift costs one
-tracked pass.  ``repdecomp.is_g_submodule`` relies on the free-variable
-form of every returned kernel.  "exact" in the method
+tracked pass.  ``kernels`` relies on the free-variable form of every
+returned kernel.  "exact" in the method
 ``multi-modular+exact`` names an exact rational basis with an exact check,
 whichever way it was found.
 
@@ -66,7 +66,8 @@ failed check or a rank that cannot be certified raises
 :class:`CertificationError`.  ``rref_dense``, a dense exact Fraction
 elimination, has no caller in the package: the tests keep it as an
 independent reference for ranks, spans and inverses, as they keep
-``sparse_rank_modp`` and ``dense_rank_modp`` for modular ranks.
+``sparse_rank_modp`` and ``dense_rank_modp`` for modular ranks and
+``same_subspace`` for subspace equality; the bench's span table names all four.
 """
 
 from __future__ import annotations

@@ -11,16 +11,10 @@ multiplicities from the Freudenthal recursion, both in exact integers over
 the datum's cached ``cartan.RootGeometry``.  A character is peeled into
 irreducible summands on its dominant weights only.
 
-The submodule check needs no elimination.  A kernel basis from
-``kernels.kernel`` is in free-variable form (``linalg`` module docs): each
-vector has coefficient 1 at its largest monomial f, and no other vector
-touches f.  With F the free monomials and P the others, a vector x lies in
-the span K exactly when x[P] = K[P, F] * x[F]: y = x - sum_f x[f] * K_f
-vanishes on F, and the only vector of the span that vanishes on F is 0.
-``is_g_submodule`` checks that form first, then tests every ad image on P
-only, in integers.  ``ad_action_on_sym``, the Fraction action on one
-element, has no caller in the package: the tests keep it as an independent
-reference for the check.
+The submodule check needs no elimination: ``is_g_submodule`` reads span
+membership off the free-variable form (``kernels`` module docs), in
+integers.  ``ad_action_on_sym``, the Fraction action on one element, has no
+caller in the package: the tests keep it as an independent reference.
 """
 
 from __future__ import annotations
@@ -32,8 +26,8 @@ from math import lcm, prod
 
 from .cartan import geometry
 from .chevalley import LieAlgebraTable
-from .kernels import KernelBasis
-from .linalg import CertificationError, span_rank
+from .kernels import KernelBasis, free_monomials
+from .linalg import span_rank
 from .sym import SymElement
 
 WeightVector = tuple[int, ...]
@@ -69,37 +63,6 @@ def ad_action_on_sym(alg: LieAlgebraTable, x: SymElement, s: SymElement) -> SymE
     return out
 
 
-def _free_monomials(kb: KernelBasis) -> dict[tuple[int, ...], int]:
-    """The free monomial of each basis vector, mapped to the vector's index.
-
-    Checks the free-variable form in O(nnz): each vector has coefficient 1
-    at its largest monomial, no two vectors share that monomial, and no
-    vector touches another's.  Raises ``CertificationError`` otherwise.
-    """
-    free: dict[tuple[int, ...], int] = {}
-    for i, el in enumerate(kb.basis):
-        if not el.terms:
-            raise CertificationError(f"kernel vector {i} is zero")
-        f = max(el.terms)
-        if el.terms[f] != 1:
-            raise CertificationError(
-                f"kernel vector {i} has coefficient {el.terms[f]} at its free monomial {f}"
-            )
-        if f in free:
-            raise CertificationError(
-                f"kernel vectors {free[f]} and {i} share the free monomial {f}"
-            )
-        free[f] = i
-    for i, el in enumerate(kb.basis):
-        for mono in el.terms:
-            j = free.get(mono, i)
-            if j != i:
-                raise CertificationError(
-                    f"kernel vector {i} touches the free monomial {mono} of vector {j}"
-                )
-    return free
-
-
 def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     """Check ad-stability of the kernel span; failures list (x, s) pairs.
 
@@ -108,26 +71,27 @@ def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     D * ad_a(s) is in the span exactly when D times its pivot part equals
     its free part pushed through the scaled pivot parts of the free vectors.
     """
-    free = _free_monomials(kb)
-    scale = lcm(*[v.denominator for el in kb.basis for v in el.terms.values()])
+    free, mons = free_monomials(kb), kb.monomials
+    scale = lcm(*[v.denominator for vec in kb.coords for v in vec.values()])
     # The scaled pivot part of each vector; () when it has none.
     pivot_parts = [
         tuple(
-            (m, v.numerator * (scale // v.denominator))
-            for m, v in el.terms.items()
-            if m not in free
+            (mons[j], v.numerator * (scale // v.denominator))
+            for j, v in vec.items()
+            if mons[j] not in free
         )
-        for el in kb.basis
+        for vec in kb.coords
     ]
     # [x_a, x_b] = -[x_b, x_a]: the table is antisymmetric by construction
     # and ``chevalley.prove_jacobi`` checks it, so column b is minus row b.
     rows = alg.bracket_rows
 
     violations = []
-    for s_idx, el in enumerate(kb.basis):
+    for s_idx, vec in enumerate(kb.coords):
         # D * ad_a(s) for every generator a at once, by the Leibniz rule.
         images: dict[int, dict[tuple[int, ...], int]] = {}
-        for mono, coeff in el.terms.items():
+        for col, coeff in vec.items():
+            mono = mons[col]
             coeff = coeff.numerator * (scale // coeff.denominator)
             for j, b in enumerate(mono):
                 rest = mono[:j] + mono[j + 1 :]
@@ -174,14 +138,13 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     so the multiplicities are counts and no rank is computed.
     """
     weights_present: set[WeightVector] = set()
-    mono_weight: dict[tuple[int, ...], WeightVector] = {}
+    col_weight: dict[int, WeightVector] = {}
     # The one weight of each basis vector, None for a vector of several.
     vector_weight: list[WeightVector | None] = []
-    for el in kb.basis:
-        for mono in el.terms:
-            if mono not in mono_weight:
-                mono_weight[mono] = monomial_weight(alg, mono)
-        weights = {mono_weight[mono] for mono in el.terms}
+    for vec in kb.coords:
+        for j in vec.keys() - col_weight.keys():
+            col_weight[j] = monomial_weight(alg, kb.monomials[j])
+        weights = {col_weight[j] for j in vec}
         weights_present |= weights
         vector_weight.append(weights.pop() if len(weights) == 1 else None)
     multiplicities: dict[WeightVector, int] = {}
@@ -190,8 +153,8 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     else:
         for mu in sorted(weights_present):
             r = span_rank(
-                {m: v for m, v in el.terms.items() if mono_weight[m] != mu}
-                for el in kb.basis
+                {j: v for j, v in vec.items() if col_weight[j] != mu}
+                for vec in kb.coords
             )
             d = kb.dim - r
             if d:

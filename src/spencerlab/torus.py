@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .chevalley import LieAlgebraTable
-from .kernels import KernelBasis, kernel_of_constrained
+from .kernels import KernelBasis, free_monomials, kernel_of_constrained
 from .linalg import (
     Eliminator,
     SparseCol,
@@ -292,17 +292,21 @@ def phi_deg(
     """Project a closed kernel-valued cochain to its de Rham class.
 
     The value on a pure tensor alpha (x) s is [alpha]; linear combinations
-    are contracted by summing the kernel-basis coordinate forms.  Returns
-    (representative cochain, class coordinates).  Non-closed input and
-    values outside the kernel span are rejected.
+    are contracted by summing the coordinates, a value's entries on the free
+    monomials (``kernels`` module docs).  Returns (representative cochain,
+    class coordinates).  Non-closed input and values outside the span fail.
     """
-    kernel_coords = Eliminator((el.terms for el in kb.basis), track=True)
+    free, mons = free_monomials(kb), kb.monomials
     form: dict[int, Fraction] = {}
     for cell, el in c.values.items():
-        combo = kernel_coords.solve(el.terms)
-        if combo is None:
+        coords = {i: el.terms[f] for f, i in free.items() if f in el.terms}
+        span_part: dict[tuple[int, ...], Fraction] = {}
+        for i, x_f in coords.items():
+            for j, v in kb.coords[i].items():
+                span_part[mons[j]] = span_part.get(mons[j], 0) + x_f * v
+        if {m: v for m, v in span_part.items() if v} != el.terms:
             raise ValueError(f"cell {cell} carries a value outside the kernel span")
-        total = sum(combo.values(), Fraction(0))
+        total = sum(coords.values(), Fraction(0))
         if total:
             form[cell] = total
     classes = DeRhamClasses(complex_, c.p)

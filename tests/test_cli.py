@@ -257,7 +257,7 @@ def test_kernel_not_in_free_variable_form_exits_5(runner, monkeypatch):
 
     def scaled_first_vector(*args):
         kb, cert = real(*args)
-        kb.basis[0] = kb.basis[0].scale(2)
+        kb.coords[0] = {j: 2 * v for j, v in kb.coords[0].items()}
         return kb, cert
 
     monkeypatch.setattr(cli_mod, "kernel_of_constrained", scaled_first_vector)

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as Q
 
 import pytest
+from click.testing import CliRunner
 
+from spencerlab import kernels
 from spencerlab.cartan import CartanError
+from spencerlab.chevalley import algebra
+from spencerlab.cli import main
 from spencerlab.kernels import (
+    free_monomials,
     kernel,
     kernel_of_constrained,
     min_irrep_dim,
@@ -14,9 +20,9 @@ from spencerlab.kernels import (
     mirror_stability_check,
     tension_report,
 )
-from spencerlab.linalg import same_subspace
-from spencerlab.operators import apply_delta, delta_constrained
-from spencerlab.presets import cartan_dual, random_dual, zero_dual
+from spencerlab.linalg import CertificationError, same_subspace
+from spencerlab.operators import apply_delta, delta_constrained, neg_dual
+from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual, zero_dual
 from spencerlab.sym import sym_dim
 
 from conftest import load_golden
@@ -121,6 +127,62 @@ def test_mirror_stability(a1, a2):
     for k in (1, 2):
         assert mirror_stability_check(a1, cartan_dual(a1, 1), k)["kernels_equal"]
     assert mirror_stability_check(a2, random_dual(a2, seed=55), 2)["kernels_equal"]
+
+
+def _spec_kernel(label, spec, k=2, scale=1):
+    alg = algebra(label)
+    lam = tuple(scale * x for x in parse_lambda_spec(alg, spec))
+    return kernel_of_constrained(alg, lam, k)[0]
+
+
+@pytest.mark.parametrize("label, spec_a, spec_b, scale_b, dim, equal", [
+    ("A2", "preset:cartan1", "preset:cartan2", 1, 12, False),
+    ("G2", "preset:cartan1", "preset:random:7", 1, 16, False),
+    ("B2", "preset:cartan2", "preset:random:7", 1, 12, False),
+    ("A2", "preset:random:5", "preset:random:5", -1, None, True),
+    ("G2", "preset:cartan1", "preset:cartan1", -1, 16, True),
+    ("A2", "preset:random:5", "preset:random:5", Q(3, 2), None, True),
+    ("B2", "preset:random:7", "preset:random:7", Q(3, 2), 12, True),
+])
+def test_coords_equality_is_subspace_equality(label, spec_a, spec_b, scale_b, dim, equal):
+    # the free-variable basis depends on the span alone, so list equality
+    # of coords and same_subspace agree, also on pairs of equal dimension
+    a = _spec_kernel(label, spec_a)
+    b = _spec_kernel(label, spec_b, scale=scale_b)
+    if dim is not None:
+        assert a.dim == b.dim == dim
+    assert (a.coords == b.coords) == same_subspace(a.coords, b.coords) == equal
+
+
+def test_mirror_audit_reports_differing_kernels(a2, monkeypatch):
+    # the "kernels differ" branch: the second kernel comes from another lambda
+    monkeypatch.setattr(kernels, "neg_dual", lambda lam: cartan_dual(a2, 2))
+    rep = mirror_stability_check(a2, cartan_dual(a2, 1), 2)
+    assert rep["dim_plus"] == rep["dim_minus"] == 12
+    assert not rep["kernels_equal"]
+    result = CliRunner().invoke(main, ["verify", "--algebra", "A2", "--lambda", "preset:cartan1"])
+    assert result.exit_code == 4, result.output
+
+
+def test_mirror_audit_rejects_a_kernel_not_in_free_variable_form(a2, monkeypatch):
+    real = kernels.kernel_of_constrained
+
+    def scaled_first_vector(*args):
+        kb, cert = real(*args)
+        kb.coords[0] = {j: 2 * v for j, v in kb.coords[0].items()}
+        return kb, cert
+
+    monkeypatch.setattr(kernels, "kernel_of_constrained", scaled_first_vector)
+    with pytest.raises(CertificationError, match="coefficient 2"):
+        mirror_stability_check(a2, random_dual(a2, seed=55), 2)
+
+
+def test_free_monomials_rejects_vectors_out_of_order(a2):
+    kb, _ = kernel_of_constrained(a2, random_dual(a2, seed=55), 2)
+    assert list(free_monomials(kb).values()) == list(range(kb.dim))
+    swapped = dataclasses.replace(kb, coords=kb.coords[::-1])
+    with pytest.raises(CertificationError, match="out of free-monomial order"):
+        free_monomials(swapped)
 
 
 def test_min_irrep_table():

@@ -103,19 +103,19 @@ def _a2_kernel():
 
 def test_submodule_check_rejects_a_scaled_vector():
     a2, kb = _a2_kernel()
-    basis = [kb.basis[0].scale(2)] + kb.basis[1:]
+    coords = [{j: 2 * v for j, v in kb.coords[0].items()}] + kb.coords[1:]
     with pytest.raises(CertificationError, match="coefficient 2"):
-        is_g_submodule(a2, dataclasses.replace(kb, basis=basis))
+        is_g_submodule(a2, dataclasses.replace(kb, coords=coords))
 
 
 def test_submodule_check_rejects_a_free_monomial_in_another_vector():
     a2, kb = _a2_kernel()
-    by_free = sorted(range(kb.dim), key=lambda i: max(kb.basis[i].terms))
+    by_free = sorted(range(kb.dim), key=lambda i: max(kb.coords[i]))
     low, high = by_free[0], by_free[-1]
-    broken = kb.basis[high].add(SymElement.monomial(a2.dim, max(kb.basis[low].terms)))
-    basis = [broken if i == high else el for i, el in enumerate(kb.basis)]
+    broken = {**kb.coords[high], max(kb.coords[low]): Q(1)}
+    coords = [broken if i == high else vec for i, vec in enumerate(kb.coords)]
     with pytest.raises(CertificationError, match="touches the free monomial"):
-        is_g_submodule(a2, dataclasses.replace(kb, basis=basis))
+        is_g_submodule(a2, dataclasses.replace(kb, coords=coords))
 
 
 def test_zero_kernel_vacuously_submodule(a1):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from spencerlab.kernels import kernel_of_constrained
+from spencerlab.linalg import CertificationError
 from spencerlab.operators import apply_delta
 from spencerlab.presets import cartan_dual, random_dual, zero_dual
 from spencerlab.sym import SymElement
@@ -197,6 +199,27 @@ def test_phi_deg_rejects_non_closed(a1):
     assert not coboundary(cx, c).is_zero()
     with pytest.raises(ValueError, match="closed"):
         phi_deg(cx, kb, c)
+
+
+def test_phi_deg_rejects_a_value_outside_the_kernel(a1):
+    cx = CellComplex.torus(2, 4)
+    lam = cartan_dual(a1, 1)
+    kb, _ = kernel_of_constrained(a1, lam, 2)
+    mono = next(m for m in kb.monomials
+                if not apply_delta(a1, lam, SymElement.monomial(3, m)).is_zero())
+    c = SpencerCochain(1, 2, 3, {0: kb.basis[0].add(SymElement.monomial(3, mono))})
+    with pytest.raises(ValueError, match="outside the kernel span"):
+        phi_deg(cx, kb, c)
+
+
+def test_phi_deg_rejects_a_kernel_not_in_free_variable_form(a1):
+    cx = CellComplex.torus(2, 4)
+    kb, _ = kernel_of_constrained(a1, cartan_dual(a1, 1), 2)
+    scaled = dataclasses.replace(kb, coords=[{j: 2 * v for j, v in kb.coords[0].items()}]
+                                 + kb.coords[1:])
+    c = SpencerCochain(1, 2, 3, {0: kb.basis[0]})
+    with pytest.raises(CertificationError, match="coefficient 2"):
+        phi_deg(cx, scaled, c)
 
 
 def test_phi_deg_surjective_on_classes(a1):
