@@ -538,8 +538,20 @@ def test_lie_info_g2_table_matches_golden(runner, tmp_path):
     assert json.loads(table_path.read_text()) == golden["table"]
 
 
-@pytest.mark.parametrize("case", load_golden("report_body_sha.json")["cases"],
-                         ids=lambda case: " ".join(case["args"][:5]))
+def _body_case_ids(cases):
+    # A case is named by its first five arguments, or by all of them when
+    # those five already name an earlier case.
+    ids = []
+    for case in cases:
+        short = " ".join(case["args"][:5])
+        ids.append(" ".join(case["args"]) if short in ids else short)
+    return ids
+
+
+_BODY_CASES = load_golden("report_body_sha.json")["cases"]
+
+
+@pytest.mark.parametrize("case", _BODY_CASES, ids=_body_case_ids(_BODY_CASES))
 def test_report_body_matches_golden_sha(runner, case):
     # sha256 of the canonical body; the manifest carries a timestamp
     body = body_bytes(_report(runner.invoke(main, case["args"])))

@@ -78,6 +78,13 @@ REPORT_BODY_CASES = (
     ["verify", "--algebra", "A2", "--lambda", "preset:random:11", "--k-max", "2"],
     ["cohomology", "--torus", "2", "--n", "4", "--algebra", "A1", "--k", "2",
      "--lambda", "preset:cartan1"],
+    ["cohomology", "--torus", "2", "--n", "4", "--algebra", "G2", "--k", "2",
+     "--lambda", "preset:cartan1"],
+    ["cohomology", "--torus", "3", "--n", "2", "--algebra", "A2", "--k", "2",
+     "--lambda", "preset:random:20"],
+    ["cohomology", "--torus", "2", "--n", "3", "--algebra", "A1", "--k", "1",
+     "--lambda", "preset:cartan1"],
+    ["kernel", "--algebra", "F4", "--k", "2", "--lambda", "preset:random:7", "--decompose"],
 )
 
 
