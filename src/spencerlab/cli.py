@@ -4,7 +4,8 @@ Exit status taxonomy: 0 success, 2 usage error (also an unknown algebra
 label and an input or output path that cannot be read or written),
 3 resource cap exceeded, 4 forced-identity failure (mirror antisymmetry or
 kernel mirror stability), 5 certification failure (modular ranks that keep
-disagreeing or a kernel that fails its exact membership check), 6 solver
+disagreeing, a kernel that fails its exact membership check, or degenerate
+cohomology dimensions that differ from the product prediction), 6 solver
 divergence (``varsolve`` backtracking cannot lower the energy, or the start
 has a non-finite energy or gradient norm).
 Every failure prints one message line on stderr.  Statuses 4 and 3 from

@@ -63,7 +63,9 @@ whichever way it was found.
 Either way every returned kernel vector is re-multiplied through the matrix
 and checked against zero, in integers, before the result is handed back; a
 failed check or a rank that cannot be certified raises
-:class:`CertificationError`.  ``rref_dense``, a dense exact Fraction
+:class:`CertificationError`.  Every rank the package reports is certified
+this way (kernels, the nilpotency audit, torus cohomology, weight
+multiplicities).  ``rref_dense``, a dense exact Fraction
 elimination, has no caller in the package: the tests keep it as an
 independent reference for ranks, spans and inverses, as they keep
 ``sparse_rank_modp`` and ``dense_rank_modp`` for modular ranks and
@@ -467,14 +469,9 @@ def kernel_with_certificate(
     return vectors, RankCertificate(primes, ranks, True, "multi-modular+exact", rank)
 
 
-def span_rank(vectors: Iterable) -> int:
-    """Exact rank of sparse vectors (dicts or (key, value) pairs)."""
-    return Eliminator(vectors).rank
-
-
 def same_subspace(basis_a: Sequence[dict], basis_b: Sequence[dict]) -> bool:
     """Exact subspace equality: equal ranks and basis_b inside span(basis_a)."""
     span_a = Eliminator(basis_a)
-    if span_rank(basis_b) != span_a.rank:
+    if Eliminator(basis_b).rank != span_a.rank:
         return False
     return not any(span_a.reduce(vec) for vec in basis_b)

@@ -27,7 +27,7 @@ from math import lcm, prod
 from .cartan import geometry
 from .chevalley import LieAlgebraTable
 from .kernels import KernelBasis, free_monomials
-from .linalg import span_rank
+from .linalg import kernel_with_certificate
 from .sym import SymElement
 
 WeightVector = tuple[int, ...]
@@ -130,7 +130,7 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     """Simultaneous Cartan eigenspace dimensions restricted to the kernel.
 
     dim of the weight-mu component equals the kernel dimension minus the
-    rank of the basis matrix with the weight-mu monomial columns removed.
+    certified rank of the basis matrix with the weight-mu monomials removed.
     The multiplicities sum to the kernel dimension exactly when the kernel
     is weight-graded; a shortfall flags non-submodule input.  When every
     basis vector has a single weight, removing the weight-mu columns
@@ -151,12 +151,13 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     if None not in vector_weight:
         multiplicities.update(Counter(vector_weight))
     else:
+        # Scaling a vector changes no rank, so each is cleared of denominators once.
+        scales = [lcm(*[v.denominator for v in vec.values()]) for vec in kb.coords]
+        scaled = [[(j, int(v * m)) for j, v in vec.items()] for vec, m in zip(kb.coords, scales)]
         for mu in sorted(weights_present):
-            r = span_rank(
-                {j: v for j, v in vec.items() if col_weight[j] != mu}
-                for vec in kb.coords
-            )
-            d = kb.dim - r
+            cols = [[(j, v) for j, v in vec if col_weight[j] != mu] for vec in scaled]
+            _, cert = kernel_with_certificate(cols, len(kb.monomials), len(cols))
+            d = kb.dim - cert.rank
             if d:
                 multiplicities[mu] = d
     total = sum(multiplicities.values())

@@ -6,8 +6,8 @@ bidegree (p, q); the coupled differential is exposed as its two components
 (d alpha (x) s, +/- alpha (x) delta(s)) of bidegrees (p+1, q) and (p, q+1).
 On cochains whose algebra part lies in the degenerate kernel the second
 component vanishes identically and the complex collapses to forms tensored
-with the kernel, whose cohomology is computed honestly (exact ranks of the
-sparse Kronecker operators d (x) I) and compared against the product
+with the kernel, whose cohomology is computed honestly (certified ranks of
+the sparse Kronecker operators d (x) I) and compared against the product
 prediction b_k * dim(kernel).
 """
 
@@ -20,10 +20,10 @@ from itertools import combinations, product
 from .chevalley import LieAlgebraTable
 from .kernels import KernelBasis, free_monomials, kernel_of_constrained
 from .linalg import (
+    CertificationError,
     Eliminator,
     SparseCol,
-    span_rank,
-    sparse_kernel_exact,
+    kernel_with_certificate,
     verify_kernel_vectors,
 )
 from .operators import DualVector, GeneratorImages, apply_delta, generator_images
@@ -96,15 +96,24 @@ class CellComplex:
         return [list(col.items()) for col in cols]
 
     def betti_numbers(self) -> list[int]:
-        """de Rham Betti numbers over the rationals, by exact ranks."""
-        d = self.dimension
-        ranks = [span_rank(self.coboundary_columns(k)) for k in range(d)]
-        betti = []
-        for k in range(d + 1):
-            z = self.n_cells(k) - (ranks[k] if k < d else 0)
-            b = ranks[k - 1] if k >= 1 else 0
-            betti.append(z - b)
-        return betti
+        """de Rham Betti numbers over the rationals, by certified ranks."""
+        return _cohomology_dims(self, 1)
+
+
+def _cohomology_dims(complex_: CellComplex, kappa: int) -> list[int]:
+    """dim H^p of the forms tensored with Q^kappa, for each p.
+
+    Each rank is the certified rank of d_p (x) I_kappa itself, not kappa *
+    rank d_p, so the product identity stays a real check."""
+    ranks = [0]  # ranks[p] is the rank of d_{p-1} (x) I_kappa; d_{-1} and d_d are zero
+    for p in range(complex_.dimension):
+        # column j*kappa + s of d_p (x) I_kappa is column j of d_p on coordinate s
+        cols = [[(r * kappa + s, v) for r, v in col]
+                for col in complex_.coboundary_columns(p) for s in range(kappa)]
+        _, cert = kernel_with_certificate(cols, complex_.n_cells(p + 1) * kappa, len(cols))
+        ranks.append(cert.rank)
+    ranks.append(0)
+    return [complex_.n_cells(p) * kappa - ranks[p + 1] - ranks[p] for p in range(len(ranks) - 1)]
 
 
 @dataclass
@@ -203,32 +212,20 @@ def degenerate_cohomology(
 ) -> CohomologyReport:
     """Cohomology of forms valued in the degenerate kernel, checked exactly.
 
-    The per-degree dimensions are computed from exact ranks of the actual
-    Kronecker operators d_p (x) I_kappa and then asserted equal to
-    b_p * dim(kernel); a mismatch is a hard failure since the identity is
-    forced for a product complex.
+    The per-degree dimensions are computed from certified ranks of the
+    actual Kronecker operators d_p (x) I_kappa and then checked equal to
+    b_p * dim(kernel); a mismatch raises ``CertificationError``, since the
+    identity is forced for a product complex.
     """
     if kb is None:
         kb, _ = kernel_of_constrained(alg, lam, k, cap)
     kappa = kb.dim
     d = complex_.dimension
     betti = complex_.betti_numbers()
-    dims: list[int] = []
-    ranks: list[int] = []
-    for p in range(d):
-        # column j*kappa + s of d_p (x) I_kappa is column j of d_p on coordinate s
-        ranks.append(span_rank(
-            [(r * kappa + s, v) for r, v in col]
-            for col in complex_.coboundary_columns(p)
-            for s in range(kappa)
-        ))
-    for p in range(d + 1):
-        z = complex_.n_cells(p) * kappa - (ranks[p] if p < d else 0)
-        b = ranks[p - 1] if p >= 1 else 0
-        dims.append(z - b)
+    dims = _cohomology_dims(complex_, kappa)
     holds = all(dims[p] == betti[p] * kappa for p in range(d + 1))
     if not holds:
-        raise RuntimeError(
+        raise CertificationError(
             f"degenerate cohomology dims {dims} differ from product prediction "
             f"{[b * kappa for b in betti]}"
         )
@@ -252,7 +249,8 @@ class DeRhamClasses:
         self.complex = complex_
         self.p = p
         self.columns = complex_.coboundary_columns(p)
-        self.cocycles, _ = sparse_kernel_exact(self.columns)
+        nrows, ncols = complex_.n_cells(p + 1), len(self.columns)
+        self.cocycles, _ = kernel_with_certificate(self.columns, nrows, ncols)
         self.solver = Eliminator(track=True)
         if p >= 1:
             for j, col in enumerate(complex_.coboundary_columns(p - 1)):

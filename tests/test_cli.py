@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spencerlab import linalg
+from spencerlab import linalg, torus
 from spencerlab.cli import main
 from spencerlab.linalg import PRIME_POOL
 from spencerlab.reports import SchemaError, body_bytes, validate_report
@@ -246,6 +247,53 @@ def test_certification_failure_exits_5(runner, monkeypatch):
     assert len(lines) == 1 and "disagree" in lines[0], result.output
     assert "Traceback" not in result.output
     assert moduli == [math.prod(PRIME_POOL[i : i + 3]) for i in range(0, 12, 3)]
+
+
+def test_torus_rank_failure_exits_5(runner, monkeypatch):
+    # The A2 k=1 kernel matrix is small enough for the dense-exact tier, but
+    # d_1 (x) I_8 on T^2 n=4 has 128 x 256 = 32768 entries, so its rank comes
+    # from the pass modulo three primes; a pivot that is never a unit leaves
+    # the torus rank uncertified.
+    assert 128 * 256 > linalg.DENSE_ENTRY_LIMIT
+    relations = linalg._relations
+    moduli = []
+
+    def non_unit(cols, p, *rest):
+        if p is None:
+            return relations(cols, p, *rest)
+        moduli.append(p)
+        raise linalg._NonUnitPivot(f"pivot is not a unit modulo {p}")
+
+    monkeypatch.setattr(linalg, "_relations", non_unit)
+    result = runner.invoke(main, ["cohomology", "--torus", "2", "--n", "4", "--algebra", "A2",
+                                  "--k", "1", "--lambda", "preset:zero"])
+    assert result.exit_code == 5, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("certification failed:"), result.output
+    assert "Traceback" not in result.output
+    assert moduli
+
+
+def test_product_identity_mismatch_exits_5(runner, monkeypatch):
+    # One rank too many, only for the kappa-tensored operators, breaks
+    # dim H^p = b_p * kappa; the report must not be written.
+    untensored = {torus.CellComplex.torus(2, 4).n_cells(p) for p in range(3)}
+    real = torus.kernel_with_certificate
+
+    def one_rank_too_many(cols, nrows, ncols, *rest):
+        vectors, cert = real(cols, nrows, ncols, *rest)
+        if ncols not in untensored:
+            cert = dataclasses.replace(cert, rank=cert.rank + 1)
+        return vectors, cert
+
+    monkeypatch.setattr(torus, "kernel_with_certificate", one_rank_too_many)
+    result = runner.invoke(main, ["cohomology", "--torus", "2", "--n", "4", "--algebra", "A1",
+                                  "--k", "2", "--lambda", "preset:cartan1"])
+    assert result.exit_code == 5, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1, result.output
+    assert lines[0].startswith("certification failed: degenerate cohomology dims")
+    assert "Traceback" not in result.output
 
 
 def test_kernel_not_in_free_variable_form_exits_5(runner, monkeypatch):

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spencerlab.chevalley import algebra
-from spencerlab.linalg import PRIME_POOL, rref_dense, span_rank
+from spencerlab.linalg import PRIME_POOL, Eliminator, rref_dense
 from spencerlab.operators import (
     apply_delta,
     delta_constrained,
@@ -182,7 +182,7 @@ def reference_nilpotency(alg, k, composite):
         "algebra": alg.label, "k": k,
         "composite_shape": [len(enumerate_basis(alg.dim, k + 2)), len(composite)],
         "composite_is_zero": all(not c for c in composite),
-        "composite_rank": span_rank(composite),
+        "composite_rank": Eliminator(composite).rank,
         "max_abs_entry": _max_abs(composite),
         "nnz": sum(len(c) for c in composite),
     }

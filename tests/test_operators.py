@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 from spencerlab import operators
 from spencerlab.chevalley import algebra, bracket
-from spencerlab.linalg import span_rank
+from spencerlab.linalg import Eliminator
 from spencerlab.operators import (
     SpencerMatrix,
     _form,
@@ -368,7 +368,7 @@ def test_nilpotency_rank_matches_span_rank(a2, g2):
                         (g2, cartan_dual(g2, 1), 1)):
         rep = nilpotency_audit(alg, lam, k)
         composite = delta_constrained(alg, lam, k + 1).compose(delta_constrained(alg, lam, k))
-        assert rep["composite_rank"] == span_rank(composite.cols)
+        assert rep["composite_rank"] == Eliminator(composite.cols).rank
 
 
 def test_nilpotency_audit_golden_a2(a2):

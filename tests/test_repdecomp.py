@@ -10,7 +10,7 @@ import pytest
 
 from spencerlab.chevalley import algebra
 from spencerlab.kernels import kernel_of_constrained
-from spencerlab.linalg import CertificationError, Eliminator, rref_dense, span_rank
+from spencerlab.linalg import DENSE_ENTRY_LIMIT, CertificationError, Eliminator, rref_dense
 from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual, zero_dual
 from spencerlab.repdecomp import (
     WeightLattice,
@@ -162,13 +162,34 @@ def test_homogeneous_weight_counts_match_rank_formula(label, cartan_index):
     assert all(len({weight[m] for m in el.terms}) == 1 for el in kb.basis)
     expected = {}
     for mu in sorted(set(weight.values())):
-        d = kb.dim - span_rank(
+        d = kb.dim - Eliminator(
             {m: v for m, v in el.terms.items() if weight[m] != mu} for el in kb.basis
-        )
+        ).rank
         if d:
             expected[",".join(map(str, mu))] = d
     wd = weight_decomposition(alg, kb)
     assert wd["weights"] == expected and wd["graded"]
+
+
+@pytest.mark.parametrize("label,seed", [("A2", 5), ("G2", 1000), ("D4", 7), ("F4", 7)])
+def test_mixed_weight_multiplicities_match_fraction_rank(label, seed):
+    # A random lambda mixes weights within kernel vectors, so each
+    # multiplicity is dim K minus a certified rank of the basis with the
+    # weight-mu monomials removed; the Fraction elimination over Q is the oracle.
+    alg = algebra(label)
+    kb, _ = kernel_of_constrained(alg, random_dual(alg, seed=seed), 2)
+    wd = weight_decomposition(alg, kb)
+    assert not wd["graded"]
+    weight = [monomial_weight(alg, m) for m in kb.monomials]
+    expected = {}
+    for mu in sorted({weight[j] for vec in kb.coords for j in vec}):
+        restricted = [{j: v for j, v in vec.items() if weight[j] != mu} for vec in kb.coords]
+        d = kb.dim - Eliminator(restricted).rank
+        if d:
+            expected[",".join(map(str, mu))] = d
+    assert wd["weights"] == expected
+    # F4's restricted matrices are above the dense-exact tier.
+    assert label != "F4" or len(kb.monomials) * kb.dim > DENSE_ENTRY_LIMIT
 
 
 def test_weyl_dim_values(a1):
