@@ -5,13 +5,14 @@ import errno
 import hashlib
 import json
 import math
+from datetime import datetime
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spencerlab import linalg, torus
+from spencerlab import __version__, linalg, torus
 from spencerlab.cli import main
 from spencerlab.linalg import PRIME_POOL
 from spencerlab.reports import SchemaError, body_bytes, validate_report
@@ -604,6 +605,28 @@ def test_report_body_matches_golden_sha(runner, case):
     # sha256 of the canonical body; the manifest carries a timestamp
     body = body_bytes(_report(runner.invoke(main, case["args"])))
     assert hashlib.sha256(body).hexdigest() == case["sha256"]
+
+
+def _manifest_without_timestamp(rep) -> dict:
+    manifest = dict(rep["manifest"])
+    datetime.fromisoformat(manifest.pop("timestamp"))
+    return manifest
+
+
+def test_manifests_are_pinned(runner, tmp_path):
+    rep = _report(runner.invoke(main, ["kernel", "--algebra", "A1", "--k", "1",
+                                       "--lambda", "preset:cartan1"]))
+    assert _manifest_without_timestamp(rep) == {
+        "command": "spencer-kernel",
+        "params": {"algebra": "A1", "k": 1, "lambda": "preset:cartan1"},
+        "algebra": "A1",
+        "seeds": [],
+        "tool_version": __version__,
+    }
+    cfg = {"lattice": {"d": 1, "n": 3}, "seed": 3, "solver": {"max_iters": 0}}
+    manifest = _manifest_without_timestamp(_report(_varsolve(runner, tmp_path, json.dumps(cfg))))
+    assert manifest["seeds"] == [3]
+    assert manifest["params"] == {"config": cfg}
 
 
 @pytest.mark.parametrize("cap, d, n, shown", [

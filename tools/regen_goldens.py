@@ -85,6 +85,9 @@ REPORT_BODY_CASES = (
     ["cohomology", "--torus", "2", "--n", "3", "--algebra", "A1", "--k", "1",
      "--lambda", "preset:cartan1"],
     ["kernel", "--algebra", "F4", "--k", "2", "--lambda", "preset:random:7", "--decompose"],
+    ["tension", "--algebra", "E7", "--h11", "56", "--kernel-dim", "135"],
+    ["tension", "--algebra", "E8", "--h11", "56", "--kernel-dim", "0"],
+    ["tension", "--algebra", "G2", "--h11", "100", "--kernel-dim", "50"],
 )
 
 
