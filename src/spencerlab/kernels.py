@@ -22,7 +22,7 @@ difference vanishes on every f and the only such vector of K is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .cartan import CartanError
@@ -148,7 +148,7 @@ def min_irrep_entry(family: str, rank: int) -> tuple[int, str]:
 
 @dataclass
 class TensionReport:
-    algebra_label: str
+    algebra: str
     h11: int
     min_irrep_dim: int
     min_irrep_source: str
@@ -158,22 +158,10 @@ class TensionReport:
     forced_dim: int | None
     kernel_dim_measured: int | None
     measurement_consistent: bool | None
-    notes: tuple[str, ...]
+    notes: list[str]
 
     def as_dict(self) -> dict:
-        return {
-            "algebra": self.algebra_label,
-            "h11": self.h11,
-            "min_irrep_dim": self.min_irrep_dim,
-            "min_irrep_source": self.min_irrep_source,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "verdict": self.verdict,
-            "forced_dim": self.forced_dim,
-            "kernel_dim_measured": self.kernel_dim_measured,
-            "measurement_consistent": self.measurement_consistent,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def tension_report(
@@ -217,7 +205,7 @@ def tension_report(
                 "for this configuration"
             )
     return TensionReport(
-        algebra_label=algebra_label,
+        algebra=algebra_label,
         h11=h11,
         min_irrep_dim=mdim,
         min_irrep_source=source,
@@ -227,5 +215,5 @@ def tension_report(
         forced_dim=forced,
         kernel_dim_measured=kernel_dim,
         measurement_consistent=consistent,
-        notes=tuple(notes),
+        notes=notes,
     )

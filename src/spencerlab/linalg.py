@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
@@ -110,13 +110,7 @@ class RankCertificate:
     rank: int
 
     def as_dict(self) -> dict:
-        return {
-            "primes_used": self.primes_used,
-            "modular_ranks": self.modular_ranks,
-            "exact_confirmed": self.exact_confirmed,
-            "method": self.method,
-            "rank": self.rank,
-        }
+        return asdict(self)
 
 
 # Sparse column as sorted (row, value) pairs; Fraction values on the exact

@@ -5,6 +5,10 @@ Every CLI report is a JSON document ``{"schema": ..., "manifest": ...,
 timestamp; the body is everything the computation produced and is rendered
 with sorted keys and fixed separators, so identical manifests (ignoring the
 timestamp) produce byte-identical bodies.
+
+A record that goes into a body (or the manifest) is a dataclass whose fields
+are its keys: ``as_dict`` is ``dataclasses.asdict``, so the format is stated
+once, by the fields.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
@@ -30,14 +34,8 @@ class RunManifest:
     timestamp: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "algebra": self.algebra,
-            "seeds": self.seeds,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp or datetime.now(timezone.utc).isoformat(),
-        }
+        return {**asdict(self),
+                "timestamp": self.timestamp or datetime.now(timezone.utc).isoformat()}
 
 
 def build_report(manifest: RunManifest, body: dict) -> dict:

@@ -153,14 +153,6 @@ class SymElement:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymElement)
-            and self.degree == other.degree
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
     def serialize(self) -> list:
         """(index-list, numerator, denominator) records in basis order."""
         return [

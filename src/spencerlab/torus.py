@@ -13,7 +13,7 @@ prediction b_k * dim(kernel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -178,9 +178,9 @@ def spencer_differential(
 
 @dataclass
 class CohomologyReport:
-    dimension: int
+    torus_dimension: int
     subdivisions: int
-    algebra_label: str
+    algebra: str
     degree: int
     kernel_dim: int
     betti: list[int]
@@ -189,17 +189,7 @@ class CohomologyReport:
     product_identity_holds: bool
 
     def as_dict(self) -> dict:
-        return {
-            "torus_dimension": self.dimension,
-            "subdivisions": self.subdivisions,
-            "algebra": self.algebra_label,
-            "degree": self.degree,
-            "kernel_dim": self.kernel_dim,
-            "betti": self.betti,
-            "degenerate_dims": self.degenerate_dims,
-            "euler_characteristic": self.euler_characteristic,
-            "product_identity_holds": self.product_identity_holds,
-        }
+        return asdict(self)
 
 
 def degenerate_cohomology(
@@ -230,9 +220,9 @@ def degenerate_cohomology(
             f"{[b * kappa for b in betti]}"
         )
     return CohomologyReport(
-        dimension=d,
+        torus_dimension=d,
         subdivisions=complex_.subdivisions,
-        algebra_label=alg.label,
+        algebra=alg.label,
         degree=k,
         kernel_dim=kappa,
         betti=betti,

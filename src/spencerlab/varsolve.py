@@ -24,7 +24,7 @@ exact.  Tolerances are explicit configuration values.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,15 +128,7 @@ class EnergyBreakdown:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "main": self.main,
-            "pen1": self.pen1,
-            "pen3": self.pen3,
-            "alpha1": self.alpha1,
-            "alpha3": self.alpha3,
-            "bound_c": self.bound_c,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _edge_residuals(bundle: LatticeBundle, config: FieldConfig, mats: np.ndarray) -> np.ndarray:
@@ -323,16 +315,7 @@ class NodeCertificate:
     verdict: str  # split | degenerate
 
     def as_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "lambda_sup": self.lambda_sup,
-            "pairings": self.pairings,
-            "annihilated_axes": self.annihilated_axes,
-            "rank_d": self.rank_d,
-            "rank_v": self.rank_v,
-            "rank_t": self.rank_t,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def certify_compatible_pair(
