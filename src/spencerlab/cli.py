@@ -22,7 +22,7 @@ import sys
 
 import click
 
-from .cartan import CartanDatum, CartanError
+from .cartan import CartanError
 from .chevalley import algebra, killing_determinant_sign, serialize_table
 from .kernels import (
     kernel_of_constrained,
@@ -341,8 +341,7 @@ def cohomology(ctx, torus_dim: int, subdivisions: int, label: str, k: int,
 @click.option("--out", "out_path", type=click.Path(writable=True), default=None)
 def tension(label: str, h11: int, kernel_dim: int | None, out_path: str | None) -> None:
     """Dimension-tension verdict from the minimal-irrep and h11 bounds."""
-    # The datum checks the label and gives the canonical one, e.g. E7 for " e7".
-    rep = tension_report(CartanDatum.from_label(label).label, h11, kernel_dim)
+    rep = tension_report(label, h11, kernel_dim)
     manifest = RunManifest(
         "tension", {"algebra": label, "h11": h11, "kernel_dim": kernel_dim}, algebra=label
     )

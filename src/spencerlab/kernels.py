@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .cartan import CartanError
+from .cartan import CartanDatum, CartanError
 from .chevalley import LieAlgebraTable
 from .linalg import (
     CertificationError,
@@ -171,12 +171,13 @@ def tension_report(
 
     The lower bound applies only under the hypothesis that the kernel is a
     nonzero module; the zero-kernel escape hatch is stated in the notes
-    rather than hidden.
+    rather than hidden.  The report names the algebra by its canonical
+    label, e.g. E7 for " e7".
     """
     if h11 < 0:
         raise ValueError("h11 must be nonnegative")
-    family, rank = algebra_label[0].upper(), int(algebra_label[1:])
-    mdim, source = min_irrep_entry(family, rank)
+    datum = CartanDatum.from_label(algebra_label)
+    mdim, source = min_irrep_entry(datum.family, datum.rank)
     lower, upper = mdim, h11
     if lower == upper:
         verdict, forced = "forced_match", lower
@@ -205,7 +206,7 @@ def tension_report(
                 "for this configuration"
             )
     return TensionReport(
-        algebra=algebra_label,
+        algebra=datum.label,
         h11=h11,
         min_irrep_dim=mdim,
         min_irrep_source=source,

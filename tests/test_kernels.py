@@ -237,6 +237,14 @@ def test_tension_rejects_negative_h11():
         tension_report("E7", -1)
 
 
+def test_tension_reports_the_canonical_label():
+    assert tension_report("e7", 56).algebra == "E7"
+    assert tension_report(" g2", 7).as_dict()["algebra"] == "G2"
+    for label in ("A0", "C2", "E9", "Q1", "Ex"):
+        with pytest.raises(CartanError):
+            tension_report(label, 56)
+
+
 def test_a2_random_kernel_golden(a2):
     golden = load_golden("a2_random_k2_kernel.json")
     kb, _ = kernel_of_constrained(a2, random_dual(a2, seed=4321), 2)
