@@ -394,8 +394,9 @@ def varsolve(ctx, config_path: str, trace_path: str | None, json_path: str | Non
     lattice = _config_section(cfg, "lattice", {})
     wcfg = _config_section(cfg, "weights", {})
     scfg = _config_section(cfg, "solver", {})
-    omega_cfg = _config_section(cfg, "omega", {"mode": "random", "scale": 0.3})
-    zero_omega = omega_cfg.get("mode") == "zero"
+    omega_cfg = _config_section(cfg, "omega", {})
+    mode = omega_cfg.get("mode", "random")
+    _config_range(mode in ("random", "zero"), config_path, "mode", mode, '"random" or "zero"')
     d = _config_int(lattice, "d", 2, config_path, minimum=1)
     n = _config_int(lattice, "n", 4, config_path, minimum=1)
     seed = _config_int(cfg, "seed", 0, config_path, minimum=0)
@@ -430,7 +431,7 @@ def varsolve(ctx, config_path: str, trace_path: str | None, json_path: str | Non
     # Non-finite energies end in SolverDivergence or show in the body, not
     # as numpy warnings on stderr.
     with np.errstate(all="ignore"):
-        if zero_omega:
+        if mode == "zero":
             bundle = LatticeBundle(d, n, alg)
             rng = np.random.default_rng(seed)
             config0 = FieldConfig(lam_scale * rng.standard_normal((bundle.n_nodes, alg.dim)))

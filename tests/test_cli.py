@@ -516,6 +516,14 @@ def test_varsolve_out_of_range_config_exits_2(runner, tmp_path, text, field):
     assert line.startswith("Error: config ") and f"out-of-range field {field}" in line, line
 
 
+@pytest.mark.parametrize("mode, shown", [("zeros", '"zeros"'), (3, "3"), (None, "null")])
+def test_varsolve_unknown_omega_mode_exits_2(runner, tmp_path, mode, shown):
+    result = _varsolve(runner, tmp_path, json.dumps({"omega": {"mode": mode}}))
+    assert result.exit_code == 2, result.output
+    assert _message_line(result).endswith(
+        f"has an out-of-range field 'mode': {shown}; expected \"random\" or \"zero\"")
+
+
 @pytest.mark.parametrize(
     "lattice, shown",
     [({"d": 3, "n": 4}, "576"), ({"d": 10**30, "n": 2}, "more than 500"),
