@@ -464,7 +464,7 @@ def varsolve(ctx, config_path: str, trace_path: str | None, json_path: str | Non
     manifest = RunManifest("varsolve", {"config": cfg}, algebra=label, seeds=[seed])
     write_report(build_report(manifest, body), json_path)
     if trace_path:
-        rows = [
+        rows = (
             {
                 "iteration": row.iteration,
                 "total": repr(row.breakdown.total),
@@ -475,7 +475,7 @@ def varsolve(ctx, config_path: str, trace_path: str | None, json_path: str | Non
                 "step": repr(row.step),
             }
             for row in trace
-        ]
+        )
         write_csv(rows, trace_path)
 
 

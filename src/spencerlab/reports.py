@@ -16,8 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from typing import Iterable
 
 from . import __version__
 
@@ -52,25 +54,30 @@ def body_bytes(report: dict) -> bytes:
 
 
 def write_report(report: dict, out_path: str | None) -> None:
+    """Validate the report, then stream its text to out_path or stdout.
+
+    Streaming holds neither the whole text nor the encoder's list of chunks
+    in memory; the bytes are those of ``json.dumps`` with the same options.
+    """
     validate_report(report)
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        json.dump(report, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
-def write_csv(rows: list[dict], out_path: str) -> None:
-    if not rows:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("")
-        return
-    fieldnames = list(rows[0].keys())
+def write_csv(rows: Iterable[dict], out_path: str) -> None:
+    """Write the rows under the first row's keys; no rows give an empty file.
+
+    Rows may come from a generator, so a long trace is never held as a list.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        if first is not None:
+            writer = csv.DictWriter(fh, fieldnames=list(first))
+            writer.writeheader()
+            writer.writerow(first)
+            writer.writerows(rows)
 
 
 class SchemaError(ValueError):
