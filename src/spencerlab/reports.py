@@ -54,11 +54,7 @@ def body_bytes(report: dict) -> bytes:
 
 
 def write_report(report: dict, out_path: str | None) -> None:
-    """Validate the report, then stream its text to out_path or stdout.
-
-    Streaming holds neither the whole text nor the encoder's list of chunks
-    in memory; the bytes are those of ``json.dumps`` with the same options.
-    """
+    """Validate the report, then stream its text, never held whole in memory."""
     validate_report(report)
     with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
@@ -66,10 +62,7 @@ def write_report(report: dict, out_path: str | None) -> None:
 
 
 def write_csv(rows: Iterable[dict], out_path: str) -> None:
-    """Write the rows under the first row's keys; no rows give an empty file.
-
-    Rows may come from a generator, so a long trace is never held as a list.
-    """
+    """Write rows from any iterable under the first row's keys; none give an empty file."""
     rows = iter(rows)
     first = next(rows, None)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
