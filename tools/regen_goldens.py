@@ -88,6 +88,9 @@ REPORT_BODY_CASES = (
     ["tension", "--algebra", "E7", "--h11", "56", "--kernel-dim", "135"],
     ["tension", "--algebra", "E8", "--h11", "56", "--kernel-dim", "0"],
     ["tension", "--algebra", "G2", "--h11", "100", "--kernel-dim", "50"],
+    ["lie", "info", "--algebra", "E7"],
+    ["lie", "info", "--algebra", "E8"],
+    ["lie", "info", "--algebra", "a3"],
 )
 
 
