@@ -1,5 +1,10 @@
 """Cartan data and root system enumeration for the semisimple families.
 
+A ``CartanDatum`` is a Cartan type, its family letter and rank, checked when
+it is constructed; parsing a label builds nothing else.  Everything derived
+from the type (the Cartan matrix, the positive roots and the root and weight
+geometry) comes from ``geometry(datum)``, the one source of root data.
+
 Conventions used throughout the package:
 
 * Cartan matrix entries are ``A[i][j] = <alpha_j, alpha_i^vee>``, i.e. row i
@@ -9,8 +14,8 @@ Conventions used throughout the package:
 * The invariant form is normalised so that short roots have squared length 2.
 
 ``geometry(datum)`` computes the root and weight geometry of a datum once per
-process and keeps it in integers; every squared length, coroot, pairing and
-weight inner product in the package is read from it.
+process and keeps it in integers; every positive root, squared length,
+coroot, pairing and weight inner product in the package is read from it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Sequence
 
 
 class CartanError(ValueError):
-    """Raised for invalid Cartan data (bad family, rank, or matrix entry)."""
+    """Raised for invalid Cartan data (bad family, rank, or label)."""
 
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -33,8 +38,7 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
 
-def standard_cartan_matrix(family: str, rank: int) -> list[list[int]]:
-    """Return the standard Cartan matrix for the given family and rank."""
+def _check_type(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise CartanError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if rank < _MIN_RANK[family]:
@@ -42,6 +46,10 @@ def standard_cartan_matrix(family: str, rank: int) -> list[list[int]]:
     if family in _MAX_RANK and rank > _MAX_RANK[family]:
         raise CartanError(f"{family}{rank}: rank must be <= {_MAX_RANK[family]}")
 
+
+def standard_cartan_matrix(family: str, rank: int) -> list[list[int]]:
+    """Return the standard Cartan matrix for the given family and rank."""
+    _check_type(family, rank)
     a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 
     def chain(i: int, j: int) -> None:
@@ -80,9 +88,13 @@ def standard_cartan_matrix(family: str, rank: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class CartanDatum:
+    """A Cartan type; its matrix and roots are read from ``geometry(datum)``."""
+
     family: str
     rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_type(self.family, self.rank)
 
     @classmethod
     def from_label(cls, label: str) -> "CartanDatum":
@@ -90,38 +102,19 @@ class CartanDatum:
         label = label.strip()
         if len(label) < 2 or label[0].upper() not in FAMILIES:
             raise CartanError(f"cannot parse algebra label {label!r}")
-        family = label[0].upper()
         try:
             rank = int(label[1:])
         except ValueError as exc:
             raise CartanError(f"cannot parse rank in label {label!r}") from exc
-        matrix = standard_cartan_matrix(family, rank)
-        return cls(family, rank, tuple(tuple(row) for row in matrix))
+        return cls(label[0].upper(), rank)
 
     @property
     def label(self) -> str:
         return f"{self.family}{self.rank}"
 
-    def validate(self) -> None:
-        """Check diagonal, sign, and agreement with the standard table."""
-        n = self.rank
-        if len(self.cartan_matrix) != n or any(len(r) != n for r in self.cartan_matrix):
-            raise CartanError(f"{self.label}: Cartan matrix is not {n}x{n}")
-        for i in range(n):
-            for j in range(n):
-                v = self.cartan_matrix[i][j]
-                if i == j and v != 2:
-                    raise CartanError(f"{self.label}: diagonal entry ({i},{i}) is {v}, expected 2")
-                if i != j and v > 0:
-                    raise CartanError(f"{self.label}: off-diagonal entry ({i},{j}) is {v}, expected <= 0")
-        std = standard_cartan_matrix(self.family, self.rank)
-        for i in range(n):
-            for j in range(n):
-                if self.cartan_matrix[i][j] != std[i][j]:
-                    raise CartanError(
-                        f"{self.label}: entry ({i},{j}) is {self.cartan_matrix[i][j]}, "
-                        f"standard table has {std[i][j]}"
-                    )
+    @property
+    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
+        return geometry(self).cartan
 
 
 def symmetrizer(cartan_matrix: Sequence[Sequence[int]]) -> list[Fraction]:
@@ -147,38 +140,21 @@ def symmetrizer(cartan_matrix: Sequence[Sequence[int]]) -> list[Fraction]:
     return [x / dmin for x in d]  # type: ignore[operator]
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    datum: CartanDatum
-    simple_roots: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]  # ordered by (height, lex)
-    root_count: int
-
-    @property
-    def rank(self) -> int:
-        return self.datum.rank
-
-    @property
-    def dim(self) -> int:
-        return self.rank + self.root_count
-
-
 def _pairing(cartan_matrix, beta: tuple[int, ...], i: int) -> int:
     """<beta, alpha_i^vee> for beta in simple-root coordinates."""
     row = cartan_matrix[i]
     return sum(c * row[j] for j, c in enumerate(beta))
 
 
-def build_root_system(datum: CartanDatum) -> RootSystem:
+def _positive_roots(a) -> tuple[tuple[int, ...], ...]:
     """Enumerate all positive roots by closure under simple-root addition.
 
     A candidate beta + alpha_i is accepted when the alpha_i-string through
     beta ascends, i.e. q - <beta, alpha_i^vee> > 0 with q the largest k such
-    that beta - k*alpha_i is already a root.
+    that beta - k*alpha_i is already a root.  The roots come in (height, lex)
+    order.
     """
-    datum.validate()
-    n = datum.rank
-    a = datum.cartan_matrix
+    n = len(a)
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     known: set[tuple[int, ...]] = set(simple)
     level = list(simple)
@@ -201,12 +177,7 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
                         nxt.add(cand)
         known.update(nxt)
         level = list(nxt)
-    return RootSystem(
-        datum=datum,
-        simple_roots=simple,
-        positive_roots=tuple(ordered),
-        root_count=2 * len(ordered),
-    )
+    return tuple(ordered)
 
 
 def root_height(beta: tuple[int, ...]) -> int:
@@ -242,7 +213,9 @@ def adjugate(matrix) -> tuple[int, list[list[int]]]:
 class RootGeometry:
     """Root and weight geometry of one Cartan datum, in integers.
 
-    Per positive root beta (in ``root_system`` order): ``labels`` holds
+    ``cartan`` is the standard Cartan matrix and ``positive_roots`` lists the
+    positive roots in (height, lex) order.  Per positive root beta:
+    ``labels`` holds
     <beta, alpha_i^vee>, ``norm2`` holds (beta, beta) and ``coroots`` holds
     beta^vee = 2 beta / (beta, beta) on the simple coroots.  A weight with
     labels lambda has root coordinates A^-1 lambda, and (omega_i, omega_j) =
@@ -251,13 +224,12 @@ class RootGeometry:
     """
 
     def __init__(self, datum: CartanDatum):
-        a = self.cartan = datum.cartan_matrix
         n = datum.rank
-        self.root_system = build_root_system(datum)
+        a = self.cartan = tuple(map(tuple, standard_cartan_matrix(datum.family, n)))
+        pos = self.positive_roots = _positive_roots(a)
         self.d = _integral(symmetrizer(a), f"{datum.label}: non-integral symmetrizer")
         # alpha_i in label coordinates is column i of the Cartan matrix.
         self.simple_labels = tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
-        pos = self.root_system.positive_roots
         self.labels = tuple(tuple(_pairing(a, beta, i) for i in range(n)) for beta in pos)
         self.norm2 = tuple(self.root_norm2(beta) for beta in pos)
         # alpha_i = d_i alpha_i^vee
@@ -290,7 +262,7 @@ class RootGeometry:
 
     def dot_root(self, lam: Sequence[int], r: int) -> int:
         """(lam, beta) for the r-th positive root: sum_i lam_i beta_i d_i."""
-        beta = self.root_system.positive_roots[r]
+        beta = self.positive_roots[r]
         return sum(x * c * di for x, c, di in zip(lam, beta, self.d))
 
     def coroot_pairing(self, lam: Sequence[int], r: int) -> int:

@@ -1,5 +1,9 @@
 """Chevalley basis construction with integer structure constants.
 
+``build_chevalley_basis(datum)`` builds the table from the Cartan type
+alone, and always proves Jacobi on it: the positive roots, their Dynkin
+labels, squared lengths and coroots all come from ``cartan.geometry(datum)``.
+
 Basis order (contractual; all sparse matrices depend on it):
 h_1..h_rank, then e_beta for positive roots beta in (height, lex) order,
 then f_beta mirrored in the same root order.
@@ -48,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cartan import CartanDatum, RootSystem, adjugate, geometry, root_height
+from .cartan import CartanDatum, RootGeometry, adjugate, geometry, root_height
 
 
 class ChevalleyError(RuntimeError):
@@ -63,11 +67,11 @@ BracketValue = tuple[tuple[int, int], ...]
 class _ConstantTable:
     """N(x, y) for all root pairs, built by height induction."""
 
-    def __init__(self, rs: RootSystem):
-        self.pos = rs.positive_roots
+    def __init__(self, geo: RootGeometry):
+        self.pos = geo.positive_roots
         self.pos_index = {b: i for i, b in enumerate(self.pos)}
         self.phi: set[Root] = set(self.pos) | {self._neg(b) for b in self.pos}
-        self.norm2 = dict(zip(self.pos, geometry(rs.datum).norm2))
+        self.norm2 = dict(zip(self.pos, geo.norm2))
         self.special: dict[tuple[Root, Root], int] = {}
         self._build()
 
@@ -166,7 +170,6 @@ class LieAlgebraTable:
     """Bracket and Killing tables for a semisimple algebra in a Chevalley basis."""
 
     datum: CartanDatum
-    root_system: RootSystem
     dim: int
     basis_labels: tuple[str, ...]
     # bracket[a][b] lists (c, coeff) with [x_a, x_b] = sum coeff * x_c.
@@ -188,7 +191,7 @@ class LieAlgebraTable:
 
     @property
     def n_positive(self) -> int:
-        return len(self.root_system.positive_roots)
+        return len(geometry(self.datum).positive_roots)
 
     def bracket_basis(self, a: int, b: int) -> BracketValue:
         return self.bracket_rows[a].get(b, ())
@@ -312,7 +315,7 @@ def _check_generated(table: LieAlgebraTable, simple: list[int]) -> None:
     ``simple[i]`` is the positive-root index of alpha_i.
     """
     rank = table.rank
-    pos = table.root_system.positive_roots
+    pos = geometry(table.datum).positive_roots
     pos_index = {b: r for r, b in enumerate(pos)}
     rows = table.bracket_rows
     for r, gamma in enumerate(pos):
@@ -387,7 +390,7 @@ def prove_jacobi(table: LieAlgebraTable) -> int:
     raises :class:`ChevalleyError` on the first failure.  Returns the number
     of derivations checked.
     """
-    pos = table.root_system.positive_roots
+    pos = geometry(table.datum).positive_roots
     simple = [pos.index(tuple(int(i == j) for j in range(table.rank))) for i in range(table.rank)]
     _check_antisymmetric(table.bracket_rows)
     _check_generated(table, simple)
@@ -397,17 +400,14 @@ def prove_jacobi(table: LieAlgebraTable) -> int:
     return len(generators)
 
 
-def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTable:
-    """Build the full bracket table for the root system's algebra."""
-    datum = rs.datum
+def build_chevalley_basis(datum: CartanDatum) -> LieAlgebraTable:
+    """Build the full bracket table for the datum's algebra and prove Jacobi on it."""
     rank = datum.rank
     geo = geometry(datum)
-    pos = rs.positive_roots
-    if pos != geo.root_system.positive_roots:
-        raise ChevalleyError("positive roots are not in the (height, lex) order")
+    pos = geo.positive_roots
     n_pos = len(pos)
     dim = rank + 2 * n_pos
-    consts = _ConstantTable(rs)
+    consts = _ConstantTable(geo)
 
     pos_index = consts.pos_index
     e_of = lambda r: rank + r
@@ -468,7 +468,6 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
 
     table = LieAlgebraTable(
         datum=datum,
-        root_system=rs,
         dim=dim,
         basis_labels=labels,
         bracket_rows=tuple(rows),
@@ -476,17 +475,15 @@ def build_chevalley_basis(rs: RootSystem, verify: bool = True) -> LieAlgebraTabl
         killing_pairs=killing_pairs,
         weights=weights,
     )
-    if verify:
-        prove_jacobi(table)
-        table.jacobi_checked = True
+    prove_jacobi(table)
+    table.jacobi_checked = True
     return table
 
 
 @lru_cache(maxsize=16)
 def algebra(label: str) -> LieAlgebraTable:
     """Build (and cache) the algebra for a label like ``A1`` or ``E7``."""
-    datum = CartanDatum.from_label(label)
-    return build_chevalley_basis(geometry(datum).root_system)
+    return build_chevalley_basis(CartanDatum.from_label(label))
 
 
 def killing_determinant_sign(table: LieAlgebraTable) -> int:

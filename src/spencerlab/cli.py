@@ -116,7 +116,7 @@ def lie_info(label: str, out_path: str | None, table_path: str | None) -> None:
         "dim": alg.dim,
         "rank": alg.rank,
         "positive_roots": alg.n_positive,
-        "root_count": alg.root_system.root_count,
+        "root_count": 2 * alg.n_positive,
         "killing_det_sign": killing_determinant_sign(alg),
         "jacobi_holds": alg.jacobi_checked,
         "basis_labels": list(alg.basis_labels),
@@ -367,6 +367,21 @@ def _config_int(section: dict, key: str, default: int, config_path: str,
     return value
 
 
+def _config_real(section: dict, key: str, default: float, config_path: str) -> float:
+    """A real config field: a JSON number or a numeric string; anything else exits 2."""
+    value = section.get(key, default)
+    if type(value) in (int, float, str):
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise click.UsageError(f"config {config_path} has an out-of-range field "
+                                   f"{key!r}: {exc}") from exc
+        except ValueError:
+            pass
+    raise click.UsageError(f"config {config_path} has a non-numeric field {key!r}: "
+                           f"{json.dumps(value)}; expected a JSON number")
+
+
 def _config_range(ok: bool, config_path: str, key: str, value, expected: str) -> None:
     if not ok:
         raise click.UsageError(f"config {config_path} has an out-of-range field {key!r}: "
@@ -401,27 +416,20 @@ def varsolve(ctx, config_path: str, trace_path: str | None, json_path: str | Non
     n = _config_int(lattice, "n", 4, config_path, minimum=1)
     seed = _config_int(cfg, "seed", 0, config_path, minimum=0)
     max_iters = _config_int(scfg, "max_iters", 2000, config_path, minimum=0)
-    try:
-        weights = Weights(
-            alpha1=float(wcfg.get("alpha1", 1.0)),
-            alpha2=float(wcfg.get("alpha2", 0.0)),
-            alpha3=float(wcfg.get("alpha3", 1.0)),
-            bound_c=float(wcfg.get("C", 1.0)),
-        )
-        step = float(scfg.get("step", 0.1))
-        tol = float(scfg.get("tol", 1e-8))
-        lam_scale = float(cfg.get("lambda_scale", 0.5))
-        omega_scale = float(omega_cfg.get("scale", 0.3))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise click.UsageError(f"config {config_path} has a non-numeric field: {exc}") from exc
+    real = {key: _config_real(section, key, default, config_path)
+            for section, key, default in (
+                (wcfg, "alpha1", 1.0), (wcfg, "alpha2", 0.0), (wcfg, "alpha3", 1.0),
+                (wcfg, "C", 1.0), (scfg, "step", 0.1), (scfg, "tol", 1e-8),
+                (cfg, "lambda_scale", 0.5), (omega_cfg, "scale", 0.3))}
+    step, tol = real.pop("step"), real.pop("tol")
     _config_range(math.isfinite(step) and step > 0, config_path, "step", step,
                   "a finite number > 0")
     _config_range(math.isfinite(tol) and tol >= 0, config_path, "tol", tol,
                   "a finite number >= 0")
-    for key, value in (("alpha1", weights.alpha1), ("alpha2", weights.alpha2),
-                       ("alpha3", weights.alpha3), ("C", weights.bound_c),
-                       ("lambda_scale", lam_scale), ("scale", omega_scale)):
+    for key, value in real.items():
         _config_range(math.isfinite(value), config_path, key, value, "a finite number")
+    weights = Weights(alpha1=real["alpha1"], alpha3=real["alpha3"], bound_c=real["C"])
+    lam_scale, omega_scale = real["lambda_scale"], real["scale"]
     guard_lattice_size(d, n, alg.dim, ctx.obj["max_dim"])
     solver = SolverConfig(step=step, max_iters=max_iters, tol=tol)
     # Not a module-level import: loading numpy ahead of the engine modules

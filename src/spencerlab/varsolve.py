@@ -112,7 +112,6 @@ class FieldConfig:
 @dataclass
 class Weights:
     alpha1: float = 1.0
-    alpha2: float = 0.0  # reserved, unused
     alpha3: float = 1.0
     bound_c: float = 1.0
 

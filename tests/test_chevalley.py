@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from spencerlab.cartan import CartanDatum, build_root_system
+from spencerlab.cartan import CartanDatum, geometry, standard_cartan_matrix
 from spencerlab.chevalley import (
     ChevalleyError,
     _killing_blocks,
@@ -236,8 +236,8 @@ def test_e7_cartan_bracket_matches_pairing_oracle():
     # [h_i, e_alpha] = <alpha, alpha_i^vee> e_alpha, with the pairing read
     # independently from root coordinates against the Cartan matrix row
     e7 = algebra("E7")
-    cartan = e7.datum.cartan_matrix
-    for r, beta in enumerate(e7.root_system.positive_roots):
+    cartan = standard_cartan_matrix("E", 7)
+    for r, beta in enumerate(geometry(e7.datum).positive_roots):
         for i in range(e7.rank):
             expect = sum(c * cartan[i][j] for j, c in enumerate(beta))
             ent = dict(e7.bracket_basis(i, e7.e_index(r)))
@@ -254,17 +254,18 @@ def test_serialize_round_trip_shape(a1):
 
 
 def test_construction_without_verify_flag():
-    rs = build_root_system(CartanDatum.from_label("A2"))
-    alg = build_chevalley_basis(rs, verify=False)
-    assert not alg.jacobi_checked
+    # the build has no verify switch: it always proves Jacobi
+    assert build_chevalley_basis(CartanDatum.from_label("A2")).jacobi_checked
+    # the checks read the table and do not set the flag themselves
+    alg = dataclasses.replace(algebra("A2"), jacobi_checked=False)
     check_jacobi(alg)
     prove_jacobi(alg)
     assert not alg.jacobi_checked
 
 
 def _edited(label, edit):
-    """An unverified table for label, with edit(table, rows) applied to a copy of its rows."""
-    table = build_chevalley_basis(build_root_system(CartanDatum.from_label(label)), verify=False)
+    """An unverified copy of algebra(label), with edit(table, rows) applied to its rows."""
+    table = dataclasses.replace(algebra(label), jacobi_checked=False)
     rows = [dict(row) for row in table.bracket_rows]
     edit(table, rows)
     return dataclasses.replace(table, bracket_rows=tuple(rows))

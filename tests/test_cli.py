@@ -388,6 +388,12 @@ def test_varsolve_command(runner, tmp_path):
         ('{"lattice": {"n": "4"}}', "non-numeric field 'n': \"4\""),
         ('{"solver": {"max_iters": 10.5}}', "non-integer field 'max_iters': 10.5"),
         ('{"solver": {"max_iters": false}}', "non-numeric field 'max_iters': false"),
+        ('{"solver": {"step": true, "max_iters": 1}}',
+         "non-numeric field 'step': true; expected a JSON number"),
+        ('{"weights": {"C": null}}', "non-numeric field 'C': null; expected a JSON number"),
+        ('{"lambda_scale": [1]}',
+         "non-numeric field 'lambda_scale': [1]; expected a JSON number"),
+        ('{"omega": {"scale": {}}}', "non-numeric field 'scale': {}; expected a JSON number"),
     ],
 )
 def test_varsolve_bad_config_exits_2(runner, tmp_path, text, message):
@@ -699,6 +705,13 @@ def test_tension_reports_the_canonical_label(runner):
     assert rep["body"]["verdict"] == "forced_match"
 
 
+def test_tension_huge_rank_reads_only_the_table(runner):
+    # parsing the label builds no rank x rank matrix
+    rep = _report(runner.invoke(main, ["tension", "--algebra", "A20000", "--h11", "5"]))
+    assert rep["body"]["algebra"] == "A20000"
+    assert rep["body"]["min_irrep_source"] == "extension"
+
+
 # Adversarial inputs: every run ends in a documented status with one message
 # line.  Sized so that the whole property suite takes seconds.
 _JUNK = st.one_of(
@@ -718,6 +731,8 @@ def _reject_constant(name: str):
 
 
 def _is_finite_number(value) -> bool:
+    if isinstance(value, bool):
+        return False
     try:
         return math.isfinite(float(value))
     except (TypeError, ValueError, OverflowError):
@@ -746,7 +761,8 @@ def _is_finite_number(value) -> bool:
 def test_varsolve_adversarial_configs_end_in_a_documented_status(tmp_path_factory, cfg):
     result = _varsolve(CliRunner(), tmp_path_factory.mktemp("cfg"), json.dumps(cfg))
     assert result.exit_code in (0, 2, 6), (result.output, result.exception)
-    real_fields = [*cfg["weights"].values(), cfg["lambda_scale"], cfg["omega"]["scale"]]
+    real_fields = [*cfg["weights"].values(), cfg["lambda_scale"], cfg["omega"]["scale"],
+                   cfg["solver"]["step"], cfg["solver"]["tol"]]
     if not all(_is_finite_number(v) for v in real_fields):
         assert result.exit_code == 2, result.output
     if result.exit_code:

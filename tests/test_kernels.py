@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -230,6 +231,17 @@ def test_tension_measurement_flag():
     assert not tension_report("E7", 56, kernel_dim=135).measurement_consistent
     assert tension_report("E8", 56, kernel_dim=0).measurement_consistent
     assert not tension_report("E8", 56, kernel_dim=10).measurement_consistent
+
+
+def test_tension_huge_rank_stays_small():
+    tracemalloc.start()
+    try:
+        rep = tension_report("A20000", 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.min_irrep_dim == 20001 and rep.verdict == "infeasible"
+    assert peak < 1 << 20
 
 
 def test_tension_rejects_negative_h11():

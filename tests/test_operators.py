@@ -119,7 +119,6 @@ def test_classical_abelian_toy_zero():
     a1 = algebra("A1")
     toy = type(a1)(
         datum=a1.datum,
-        root_system=a1.root_system,
         dim=a1.dim,
         basis_labels=a1.basis_labels,
         bracket_rows=tuple({} for _ in range(a1.dim)),
