@@ -9,6 +9,9 @@ entry removed.  Optionally each pivot also records the combination of
 inserted vectors (by caller tag) that produced it, which yields kernels and
 exact solves.
 
+Every matrix has one layout, :class:`CSC`, built by :func:`csc` alone; the
+passes read its column slices.
+
 The kernel pipeline takes a rational matrix as integer columns plus one
 positive denominator D (the matrix is the columns divided by D, and D is
 the lcm of the reduced entry denominators):
@@ -38,10 +41,10 @@ tracked pass mod p_i alone would give (Dixon, Numer. Math. 1982; Stein,
 
 The pass lets the sparsest row lead (Markowitz, 1957), which keeps fill low
 on operators whose dense rows would otherwise lead: a position table, built
-once per matrix by a counting sort of the rows by entry count, orders rows
-by fewest entries, ties to the smaller row index, and the lead is the key
-of smallest position.  Pivot rows stay keyed by the original row indices.
-Neither a rank nor a relation depends on which row leads a pivot.
+once per matrix from a ``bincount`` of the row indices and a stable argsort,
+orders rows by fewest entries, ties to the smaller row index, and the lead
+is the key of smallest position.  Pivot rows stay keyed by the original row
+indices.  Neither a rank nor a relation depends on which row leads a pivot.
 
 Every residue of a relation is lifted to a fraction n/d with
 |n|, d <= sqrt(M/2), about 2^44, by rational reconstruction (Wang, 1981).
@@ -74,8 +77,6 @@ independent reference for ranks, spans and inverses, as they keep
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -113,9 +114,68 @@ class RankCertificate:
         return asdict(self)
 
 
-# Sparse column as sorted (row, value) pairs; Fraction values on the exact
-# paths, integer values on the modular path and in operator matrices.
-SparseCol = list[tuple[int, int | Fraction]]
+def value_dtype(bound: int):
+    """The dtype of values below bound in absolute value: int64 or Python ints."""
+    return "int64" if bound < 2**63 else object
+
+
+@dataclass(frozen=True, eq=False)
+class CSC:
+    """Compressed sparse columns: column j holds ``rows[indptr[j]:indptr[j + 1]]``
+    (int64, ascending) and the nonzero ``values`` at the same positions, int64
+    or, per :func:`value_dtype`, Python ints (or Fractions) in an object array."""
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, j: int):
+        a, b = self.indptr[j], self.indptr[j + 1]
+        return self.rows[a:b], self.values[a:b]
+
+    def __iter__(self):
+        bounds = self.indptr.tolist()
+        return ((self.rows[a:b], self.values[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def entries(self, start: int = 0, stop: int | None = None):
+        """(columns, rows, values) of the entries of columns start..stop-1."""
+        import numpy as np
+
+        stop = len(self) if stop is None else stop
+        lo, hi = self.indptr[start], self.indptr[stop]
+        cols = np.repeat(np.arange(start, stop), np.diff(self.indptr[start : stop + 1]))
+        return cols, self.rows[lo:hi], self.values[lo:hi]
+
+    def max_abs(self) -> int:
+        return int(abs(self.values).max()) if len(self.values) else 0
+
+
+def csc(ncols: int, chunks: Iterable[tuple]) -> CSC:
+    """The matrix of (columns, rows, values) array triples, duplicates summed and
+    zeros dropped, values in the chunks' dtype.  A column's entries lie in one
+    chunk and chunks come in column order, so callers can keep chunks small."""
+    # A local import: loading numpy ahead of the engine modules raised peak RSS.
+    import numpy as np
+
+    counts = np.zeros(ncols, np.int64)
+    rows, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for col, row, val in chunks:
+        stride = int(row.max()) + 1 if len(row) else 1
+        key = col * stride + row
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        key, val = key[heads], np.add.reduceat(val, heads)
+        nonzero = np.flatnonzero(val)
+        col, row = np.divmod(key[nonzero], stride)
+        counts += np.bincount(col, minlength=ncols)
+        rows.append(row)
+        values.append(val[nonzero])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return CSC(indptr, np.concatenate(rows), np.concatenate(values))
 
 
 def _sub_scaled(dst: dict, factor, src: dict, p: int | None) -> None:
@@ -259,17 +319,24 @@ def rref_dense(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
-def _columns_mod_p(cols: Iterable[Iterable[tuple]], p: int):
-    for col in cols:
+def _columns_mod_p(cols: CSC, p: int):
+    import numpy as np
+
+    # One int object per row, shared by every column and pivot row that holds
+    # it; a fresh object per entry made small dense passes use more memory.
+    row_ints = np.empty(int(cols.rows.max(initial=-1)) + 1, object)
+    present = np.flatnonzero(np.bincount(cols.rows))
+    row_ints[present] = present.tolist()
+    for rows, values in cols:
         d: dict[int, int] = {}
-        for r, v in col:
+        for r, v in zip(row_ints[rows].tolist(), values.tolist()):
             val = v % p
             if val:
                 d[r] = val
         yield d
 
 
-def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -> int:
+def dense_rank_modp(cols: CSC, nrows: int, ncols: int, p: int) -> int:
     """Vectorised row-echelon rank mod p of integer columns, on the transpose.
 
     Not on the kernel path: the tests keep it as an independent reference
@@ -278,9 +345,8 @@ def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -
     import numpy as np
 
     a = np.zeros((ncols, nrows), dtype=np.int64)
-    for j, col in enumerate(cols):
-        for r, v in col:
-            a[j, r] = v % p
+    col, row, value = cols.entries()
+    a[col, row] = value % p
     rank = 0
     for c in range(nrows):
         if rank == ncols:
@@ -301,35 +367,29 @@ def dense_rank_modp(cols: Sequence[SparseCol], nrows: int, ncols: int, p: int) -
     return rank
 
 
-def sparse_rank_modp(cols: Iterable[Iterable[tuple]], p: int) -> int:
-    """Rank modulo p of integer columns, given as (row key, value) pairs.
+def sparse_rank_modp(cols: CSC, p: int) -> int:
+    """Rank modulo p of integer columns.
 
     Not on the kernel path: the tests keep it as the per-prime reference
-    rank, like :func:`dense_rank_modp`.
+    rank, like :func:`dense_rank_modp`, so it reduces the columns itself.
     """
-    return Eliminator(_columns_mod_p(cols, p), p=p).rank
+    vectors = ({r: v % p for r, v in zip(rows.tolist(), values.tolist()) if v % p}
+               for rows, values in cols)
+    return Eliminator(vectors, p=p).rank
 
 
-def _row_positions(cols: Sequence[SparseCol], nrows: int) -> memoryview:
+def _row_positions(cols: CSC, nrows: int) -> memoryview:
     """Position of each row when rows are sorted by entry count, then index.
 
-    A counting sort: the row with the fewest entries gets position 0, and
-    rows with equal counts keep their index order.  The table holds 8-byte
-    machine integers, so it keeps no int object per row.
+    Rows with equal counts keep their index order.  A memoryview over int64:
+    a lookup returns a Python int, and no int object is kept per row.
     """
-    count = [0] * nrows
-    for col in cols:
-        for r, _ in col:
-            count[r] += 1
-    # starts[c] hands out the positions of the rows with c entries, in order.
-    starts, total = {}, 0
-    for c, size in sorted(Counter(count).items()):
-        starts[c] = itertools.count(total)
-        total += size
-    position = memoryview(bytearray(8 * nrows)).cast("q")
-    for r, c in enumerate(count):
-        position[r] = next(starts[c])
-    return position
+    import numpy as np
+
+    position = np.bincount(cols.rows, minlength=nrows)
+    # Each row's count is overwritten by its place in the stable order by count.
+    position[np.argsort(position, kind="stable")] = np.arange(nrows)
+    return memoryview(position)
 
 
 def _relations(
@@ -350,12 +410,12 @@ def _relations(
     return relations, elim.rank
 
 
-def sparse_kernel_exact(cols: Sequence[SparseCol]) -> tuple[list[dict[int, Fraction]], int]:
+def sparse_kernel_exact(cols: CSC) -> tuple[list[dict[int, Fraction]], int]:
     """Exact kernel in reduced (free-variable) form, and the rank, over Q.
 
     Deterministic; the fallback when a modular lift fails.
     """
-    return _relations(cols, None)
+    return _relations((zip(rows.tolist(), values.tolist()) for rows, values in cols), None)
 
 
 def _rational_reconstruction(u: int, m: int) -> Fraction | None:
@@ -388,13 +448,11 @@ def _reconstruct(relations: list[dict], m: int) -> bool:
     return True
 
 
-def verify_kernel_vectors(
-    cols: Sequence[SparseCol], vectors: Iterable[dict[int, Fraction]]
-) -> bool:
+def verify_kernel_vectors(cols: CSC, vectors: Iterable[dict[int, Fraction]]) -> bool:
     """Exact check that each combination of columns is the zero vector.
 
     Each vector is scaled by the lcm of its coefficient denominators, so
-    integer columns are combined in integers.
+    integer columns are combined in integers, read from the column slices.
     """
     for vec in vectors:
         # A list, not a generator: unpacking a generator builds an oversized
@@ -403,7 +461,8 @@ def verify_kernel_vectors(
         acc: dict = {}
         for j, c in vec.items():
             c = c.numerator * (scale // c.denominator)
-            for r, v in cols[j]:
+            rows, values = cols[j]
+            for r, v in zip(rows.tolist(), values.tolist()):
                 acc[r] = acc.get(r, 0) + c * v
         if any(acc.values()):
             return False
@@ -411,7 +470,7 @@ def verify_kernel_vectors(
 
 
 def kernel_with_certificate(
-    cols: Sequence[SparseCol], nrows: int, ncols: int, denominator: int = 1
+    cols: CSC, nrows: int, ncols: int, denominator: int = 1
 ) -> tuple[list[dict[int, Fraction]], RankCertificate]:
     """Kernel basis plus the rank certificate described in the module docs.
 

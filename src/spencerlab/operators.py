@@ -32,14 +32,15 @@ The classical operator is the same sum with every sign +1 and the images
 sum_i x_i [x_i, x_g].  One assembly, ``_assemble``, builds the columns of
 both matrices and of the single-element evaluator ``apply_delta``: it holds
 the image tables as CSR arrays and, per chunk of columns and per position j,
-expands the terms, indexes each term's row by ``sym.rank_weights`` lookups
-and sums duplicate entries after one argsort.  Its values are int64 when k
+expands the terms and indexes each term's row by ``sym.rank_weights``
+lookups; ``linalg.csc`` sums duplicate entries.  Its values are int64 when k
 times the largest sum of |entries| of one table is below 2^63, which bounds
 every entry's sum of absolute values, and Python ints in object arrays
-otherwise, in the same code.  A matrix keeps integer columns plus one
-positive denominator: the scale with the gcd of it and every entry divided
-out.  Fractions are rebuilt only at the boundaries: single-element
-evaluation, reports and Matrix Market.
+otherwise, in the same code.  A matrix keeps its integer entries as one
+``linalg.CSC``, as sums and composites do, plus one positive denominator:
+the scale with the gcd of it and every entry divided out.  Fractions and
+(row, value) tuples appear only at the boundaries: single-element
+evaluation, ``fraction_columns``, reports and Matrix Market.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from math import gcd, lcm
 
 from .cartan import adjugate
 from .chevalley import LieAlgebraTable
-from .linalg import SparseCol, kernel_with_certificate
+from .linalg import CSC, csc, kernel_with_certificate, value_dtype
 from .sym import DEFAULT_BASIS_CAP, SymElement, guard_sym_dim, monomial_at, rank_weights
 
 DualVector = tuple[Fraction, ...]
@@ -73,16 +74,6 @@ def _scaled(values) -> tuple[list[int], int]:
     """(d * x for x in values) as integers, with d the lcm of their denominators."""
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
-
-
-def _content(scale: int, rows) -> int:
-    """gcd of scale and every integer in rows (iterables of ints)."""
-    g = scale
-    for row in rows:
-        if g == 1:
-            break
-        g = gcd(g, *row)
-    return g
 
 
 def _lambda_ad_pairings(alg: LieAlgebraTable, lam_num: list[int]) -> list[list[tuple[int, int]]]:
@@ -183,7 +174,7 @@ def generator_images(
     kinv_cols, d_k = _kinv_columns(alg)
     tables = [_form_to_sym2(kinv_cols, _form(alg, by_m, g, formula)) for g in range(alg.dim)]
     scale = 2 * d_lam * d_k * d_k
-    c = _content(scale, (t.values() for t in tables))
+    c = gcd(scale, *[v for t in tables for v in t.values()])
     if c > 1:
         tables = [{mono: v // c for mono, v in t.items()} for t in tables]
     return GeneratorImages(alg.dim, tuple(tables), scale // c)
@@ -194,21 +185,35 @@ def generator_images(
 _CHUNK_TERMS = 1 << 13
 
 
+def _column_chunks(sizes):
+    """Column ranges (start, stop) whose sizes, plus one per column (so empty
+    columns fill chunks too), stay within ``_CHUNK_TERMS``; a column with
+    more is a chunk alone."""
+    import numpy as np
+
+    per_col = sizes + 1
+    ends = np.cumsum(per_col)
+    start = 0
+    while start < len(per_col):
+        limit = ends[start] - per_col[start] + _CHUNK_TERMS
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
 def _assemble(
     tables: tuple[IntTerms, ...],
     monomials: Iterable[tuple[int, ...]],
-    nrows: int,
     signs: list[int],
-) -> list[SparseCol]:
-    """Integer columns sum_j signs[j] * tables[m_j] * prod_{l != j} x_{m_l}.
+):
+    """Entries of the integer columns sum_j signs[j] * tables[m_j] * prod_{l != j} x_{m_l}.
 
     One column per sorted k-tuple m of ``monomials`` (k = len(signs)); every
     table is a Sym^2 image keyed by sorted pairs.  Rows are indexed by
-    ``sym.rank_weights`` over Sym^{k+1}, which has ``nrows`` monomials.
+    ``sym.rank_weights`` over Sym^{k+1}.
     Columns are cut into chunks whose expanded terms, plus one per column,
-    stay within ``_CHUNK_TERMS`` (a column with more is a chunk alone); in
-    each chunk duplicate (column, row) keys are summed after one argsort and
-    zeros dropped.
+    stay within ``_CHUNK_TERMS`` (a column with more is a chunk alone); each
+    chunk is yielded as the (columns, rows, values) arrays ``linalg.csc`` takes.
     Values are int64 when k times the largest sum of |entries| of one table
     is below 2^63, so no sum can overflow, and Python ints otherwise.
     """
@@ -219,7 +224,7 @@ def _assemble(
     k, n = len(signs), len(tables)
     mono = np.fromiter(chain.from_iterable(monomials), np.int64).reshape(-1, k)
     bound = k * max((sum(map(abs, t.values())) for t in tables), default=0)
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = value_dtype(bound)
     sizes = np.array([len(t) for t in tables], np.int64)
     indptr = np.concatenate(([0], np.cumsum(sizes)))
     first = np.fromiter((a for t in tables for a, _ in t), np.int64, indptr[-1])
@@ -231,21 +236,10 @@ def _assemble(
     pos = np.arange(k - 1)
     shifts = np.arange(3)[:, None, None]
 
-    # One int object per distinct row, shared by every column holding it.
-    row_ints = np.empty(nrows, object)
-    interned = np.zeros(nrows, bool)
-
-    # Each column counts one term more, so empty columns fill chunks too.
-    per_col = sizes[mono].sum(axis=1) + 1
-    ends = np.cumsum(per_col)
-    cols: list[SparseCol] = []
-    start = 0
-    while start < len(mono):
-        limit = ends[start] - per_col[start] + _CHUNK_TERMS
-        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+    for start, stop in _column_chunks(sizes[mono].sum(axis=1)):
         block = mono[start:stop]
         width = stop - start
-        keys, vals = [], []
+        cols, rows, vals = [], [], []
         for j, sign in enumerate(signs):
             gen = block[:, j]
             rest = block[:, [l for l in range(k) if l != j]]
@@ -267,28 +261,10 @@ def _assemble(
             cb = (rest[col] < b[:, None]).sum(axis=1)
             row = weights[ca * stride + a] + weights[(cb + 1) * stride + b]
             row += lo[col * k + ca] + hi[col * k + cb]
-            keys.append(col * nrows + row)
+            cols.append(col + start)
+            rows.append(row)
             vals.append(values[term] * sign)
-        key = np.concatenate(keys)
-        val = np.concatenate(vals)
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], val[order]
-        heads = np.flatnonzero(np.diff(key, prepend=-1))
-        key, val = key[heads], np.add.reduceat(val, heads)
-        nonzero = np.flatnonzero(val)
-        key, val = key[nonzero], val[nonzero]
-        col_of, row = np.divmod(key, nrows)
-        fresh = row[np.flatnonzero(~interned[row])]
-        row_ints[fresh] = fresh.tolist()
-        interned[fresh] = True
-        chunk_rows = row_ints[row].tolist()
-        chunk_vals = val.tolist()
-        edge = 0
-        for end in np.searchsorted(col_of, np.arange(1, width + 1)).tolist():
-            cols.append(list(zip(chunk_rows[edge:end], chunk_vals[edge:end])))
-            edge = end
-        start = stop
-    return cols
+        yield np.concatenate(cols), np.concatenate(rows), np.concatenate(vals)
 
 
 def apply_delta(
@@ -306,34 +282,37 @@ def apply_delta(
     if images is None:
         images = generator_images(alg, lam)
     n, k = alg.dim, s.degree
-    nrows = guard_sym_dim(n, k + 1)
-    cols = _assemble(images.tables, s.terms, nrows, [(-1) ** j for j in range(k)])
+    guard_sym_dim(n, k + 1)
+    cols = csc(len(s.terms), _assemble(images.tables, s.terms, [(-1) ** j for j in range(k)]))
     acc: dict[int, Fraction] = {}
-    for col, coeff in zip(cols, s.terms.values()):
-        for r, v in col:
+    for (rows, values), coeff in zip(cols, s.terms.values()):
+        for r, v in zip(rows.tolist(), values.tolist()):
             acc[r] = acc.get(r, 0) + coeff * v
     terms = {monomial_at(n, k + 1, r): Fraction(c, images.scale) for r, c in acc.items() if c}
     return SymElement(k + 1, n, terms)
 
 
-def _reduced(cols: list[SparseCol], scale: int) -> tuple[list[SparseCol], int]:
+def _reduced(cols: CSC, scale: int) -> tuple[CSC, int]:
     """(cols, scale) with the gcd of scale and every entry divided out.
 
     The returned denominator is then the lcm of the reduced denominators of
     the entries cols / scale (1 for a zero matrix).
     """
-    g = _content(scale, ([v for _, v in col] for col in cols))
+    import numpy as np
+
+    g = gcd(scale, int(np.gcd.reduce(cols.values)))
     if g == 1:
         return cols, scale
-    return [[(r, v // g) for r, v in col] for col in cols], scale // g
+    return CSC(cols.indptr, cols.rows, cols.values // g), scale // g
 
 
 @dataclass
 class SpencerMatrix:
     """Sparse exact matrix of a Spencer operator between monomial bases.
 
-    ``cols`` holds integers; the matrix is cols / denominator, and the
-    denominator is the lcm of the entries' reduced denominators.
+    ``cols`` holds integers in the ``linalg.CSC`` layout; the matrix is
+    cols / denominator, and the denominator is the lcm of the entries'
+    reduced denominators.
     """
 
     variant: str  # classical | constrained | equivalent-form
@@ -344,63 +323,69 @@ class SpencerMatrix:
     dim: int
     nrows: int
     ncols: int
-    cols: list[SparseCol] = field(repr=False)
+    cols: CSC = field(repr=False)
     denominator: int = 1
 
     def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
+        return int(self.cols.indptr[-1])
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
+        return not self.cols.values.any()
 
-    def fraction_columns(self) -> list[SparseCol]:
-        """The columns with Fraction entries."""
+    def fraction_columns(self) -> list[list[tuple[int, Fraction]]]:
+        """The columns as (row, Fraction) pairs, for reports and Matrix Market."""
         den = self.denominator
-        return [[(r, Fraction(v, den)) for r, v in col] for col in self.cols]
+        return [[(r, Fraction(v, den)) for r, v in zip(rows.tolist(), values.tolist())]
+                for rows, values in self.cols]
 
     def max_abs_entry(self) -> Fraction:
-        best = max((abs(v) for col in self.cols for _, v in col), default=0)
-        return Fraction(best, self.denominator)
+        return Fraction(self.cols.max_abs(), self.denominator)
 
     def add(self, other: "SpencerMatrix") -> "SpencerMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
+        import numpy as np
+
         den = lcm(self.denominator, other.denominator)
         sa, sb = den // self.denominator, den // other.denominator
-        cols: list[SparseCol] = []
-        for a, b in zip(self.cols, other.cols):
-            acc = {r: v * sa for r, v in a}
-            for r, v in b:
-                newv = acc.get(r, 0) + v * sb
-                if newv:
-                    acc[r] = newv
-                else:
-                    acc.pop(r, None)
-            cols.append(sorted(acc.items()))
+        a, b = self.cols, other.cols
+        # sa and sb bound it too: even an empty int64 array rejects a factor past 2^63.
+        dtype = value_dtype(max(sa, sb, sa * a.max_abs() + sb * b.max_abs()))
+
+        def chunk(start, stop):
+            (ca, ra, va), (cb, rb, vb) = a.entries(start, stop), b.entries(start, stop)
+            return (np.concatenate((ca, cb)), np.concatenate((ra, rb)),
+                    np.concatenate((va.astype(dtype) * sa, vb.astype(dtype) * sb)))
+
+        # In column chunks, so the sum's temporaries stay small.
+        chunks = (chunk(*r) for r in _column_chunks(np.diff(a.indptr) + np.diff(b.indptr)))
         return SpencerMatrix(
             "sum", self.lam, self.k_from, self.k_to, self.algebra_label,
-            self.dim, self.nrows, self.ncols, *_reduced(cols, den),
+            self.dim, self.nrows, self.ncols, *_reduced(csc(self.ncols, chunks), den),
         )
 
     def compose(self, inner: "SpencerMatrix") -> "SpencerMatrix":
         """self o inner, requiring inner.k_to == self.k_from."""
         if inner.nrows != self.ncols:
             raise ValueError("composition shape mismatch")
-        cols: list[SparseCol] = []
-        for col in inner.cols:
-            acc: dict[int, int] = {}
-            for mid, v in col:
-                for r, w in self.cols[mid]:
-                    newv = acc.get(r, 0) + v * w
-                    if newv:
-                        acc[r] = newv
-                    else:
-                        acc.pop(r, None)
-            cols.append(sorted(acc.items()))
+        import numpy as np
+
+        outer, right = self.cols, inner.cols
+        # Entry (r, j) sums at most len(column j) products of one entry each.
+        longest = int(np.diff(right.indptr).max(initial=0))
+        dtype = value_dtype(outer.max_abs() * right.max_abs() * longest)
+        # Each inner entry (j, mid, v) meets every entry of outer column mid.
+        j, mid, v = right.entries()
+        count = np.diff(outer.indptr)[mid]
+        owner = np.repeat(np.arange(len(mid)), count)
+        at = np.repeat(outer.indptr[mid] - (np.cumsum(count) - count), count)
+        at += np.arange(len(at))
+        values = v.astype(dtype)[owner] * outer.values.astype(dtype)[at]
+        entries = (j[owner], outer.rows[at], values)
         return SpencerMatrix(
             "composite", self.lam, inner.k_from, self.k_to, self.algebra_label,
             self.dim, self.nrows, inner.ncols,
-            *_reduced(cols, self.denominator * inner.denominator),
+            *_reduced(csc(inner.ncols, [entries]), self.denominator * inner.denominator),
         )
 
     def to_matrix_market(self) -> str:
@@ -432,7 +417,7 @@ def delta_constrained(
     nrows = guard_sym_dim(n, k + 1, cap)
     images = generator_images(alg, lam, formula=formula)
     monomials = combinations_with_replacement(range(n), k)
-    cols = _assemble(images.tables, monomials, nrows, [(-1) ** j for j in range(k)])
+    cols = csc(ncols, _assemble(images.tables, monomials, [(-1) ** j for j in range(k)]))
     variant = "constrained" if formula == "symmetrized" else "equivalent-form"
     return SpencerMatrix(
         variant, lam, k, k + 1, alg.label, n, nrows, ncols, *_reduced(cols, images.scale)
@@ -462,7 +447,7 @@ def delta_classical(
     ncols = guard_sym_dim(n, k, cap)
     nrows = guard_sym_dim(n, k + 1, cap)
     monomials = combinations_with_replacement(range(n), k)
-    cols = _assemble(_classical_images(alg), monomials, nrows, [1] * k)
+    cols = csc(ncols, _assemble(_classical_images(alg), monomials, [1] * k))
     return SpencerMatrix("classical", None, k, k + 1, alg.label, n, nrows, ncols, cols)
 
 

@@ -27,7 +27,7 @@ from math import lcm, prod
 from .cartan import geometry
 from .chevalley import LieAlgebraTable
 from .kernels import KernelBasis, free_monomials
-from .linalg import kernel_with_certificate
+from .linalg import csc, kernel_with_certificate, value_dtype
 from .sym import SymElement
 
 WeightVector = tuple[int, ...]
@@ -151,12 +151,18 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     if None not in vector_weight:
         multiplicities.update(Counter(vector_weight))
     else:
+        import numpy as np
+
         # Scaling a vector changes no rank, so each is cleared of denominators once.
         scales = [lcm(*[v.denominator for v in vec.values()]) for vec in kb.coords]
-        scaled = [[(j, int(v * m)) for j, v in vec.items()] for vec, m in zip(kb.coords, scales)]
+        value = [int(v * m) for vec, m in zip(kb.coords, scales) for v in vec.values()]
+        value = np.array(value, value_dtype(max(map(abs, value))))
+        vector = np.repeat(np.arange(kb.dim), [len(vec) for vec in kb.coords])
+        row = np.array([j for vec in kb.coords for j in vec], np.int64)
         for mu in sorted(weights_present):
-            cols = [[(j, v) for j, v in vec if col_weight[j] != mu] for vec in scaled]
-            _, cert = kernel_with_certificate(cols, len(kb.monomials), len(cols))
+            keep = np.array([col_weight[j] != mu for j in row.tolist()], bool)
+            cols = csc(kb.dim, [(vector[keep], row[keep], value[keep])])
+            _, cert = kernel_with_certificate(cols, len(kb.monomials), kb.dim)
             d = kb.dim - cert.rank
             if d:
                 multiplicities[mu] = d

@@ -20,9 +20,10 @@ from itertools import combinations, product
 from .chevalley import LieAlgebraTable
 from .kernels import KernelBasis, free_monomials, kernel_of_constrained
 from .linalg import (
+    CSC,
     CertificationError,
     Eliminator,
-    SparseCol,
+    csc,
     kernel_with_certificate,
     verify_kernel_vectors,
 )
@@ -72,28 +73,19 @@ class CellComplex:
         out[axis] = (out[axis] + 1) % self.subdivisions
         return tuple(out)
 
-    def coboundary_entries(self, k: int):
-        """Yield (row, col, sign) for the coboundary d_k: C^k -> C^{k+1}."""
-        if k + 1 > self.dimension:
-            return
-        idx_k = self.index[k]
-        for row, (pos, axes) in enumerate(self.cells[k + 1]):
-            for j, axis in enumerate(axes):
-                rest = axes[:j] + axes[j + 1 :]
-                sign = -1 if j % 2 else 1
-                yield row, idx_k[(self.shift(pos, axis), rest)], sign
-                yield row, idx_k[(pos, rest)], -sign
-
-    def coboundary_columns(self, k: int) -> list[SparseCol]:
+    def coboundary_columns(self, k: int) -> CSC:
         """Sparse columns of d_k, one per k-cell; all empty for k >= dimension."""
-        cols: list[dict[int, int]] = [{} for _ in range(self.n_cells(k))]
-        for r, c, s in self.coboundary_entries(k):
-            v = cols[c].get(r, 0) + s
-            if v:
-                cols[c][r] = v
-            else:
-                cols[c].pop(r, None)
-        return [list(col.items()) for col in cols]
+        import numpy as np
+
+        entries = []  # (row, column, sign)
+        idx_k = self.index.get(k)
+        for row, (pos, axes) in enumerate(self.cells.get(k + 1, [])):
+            for j, axis in enumerate(axes):
+                rest, sign = axes[:j] + axes[j + 1 :], -1 if j % 2 else 1
+                entries += [(row, idx_k[(self.shift(pos, axis), rest)], sign),
+                            (row, idx_k[(pos, rest)], -sign)]
+        row, col, sign = np.array(entries, np.int64).reshape(-1, 3).T
+        return csc(self.n_cells(k), [(col, row, sign)])
 
     def betti_numbers(self) -> list[int]:
         """de Rham Betti numbers over the rationals, by certified ranks."""
@@ -105,11 +97,16 @@ def _cohomology_dims(complex_: CellComplex, kappa: int) -> list[int]:
 
     Each rank is the certified rank of d_p (x) I_kappa itself, not kappa *
     rank d_p, so the product identity stays a real check."""
+    import numpy as np
+
     ranks = [0]  # ranks[p] is the rank of d_{p-1} (x) I_kappa; d_{-1} and d_d are zero
+    s = np.arange(kappa)
     for p in range(complex_.dimension):
         # column j*kappa + s of d_p (x) I_kappa is column j of d_p on coordinate s
-        cols = [[(r * kappa + s, v) for r, v in col]
-                for col in complex_.coboundary_columns(p) for s in range(kappa)]
+        col, row, value = complex_.coboundary_columns(p).entries()
+        cols = csc(complex_.n_cells(p) * kappa, [((col[:, None] * kappa + s).ravel(),
+                                                   (row[:, None] * kappa + s).ravel(),
+                                                   np.repeat(value, kappa))])
         _, cert = kernel_with_certificate(cols, complex_.n_cells(p + 1) * kappa, len(cols))
         ranks.append(cert.rank)
     ranks.append(0)
@@ -138,16 +135,13 @@ class SpencerCochain:
 
 def coboundary(complex_: CellComplex, c: SpencerCochain) -> SpencerCochain:
     """Cubical coboundary applied cell-wise; the algebra part is untouched."""
-    if c.p >= complex_.dimension:
-        return SpencerCochain(c.p + 1, c.q, c.dim, {})
+    d = complex_.coboundary_columns(c.p)
     out: dict[int, SymElement] = {}
-    for row, col, sign in complex_.coboundary_entries(c.p):
-        el = c.values.get(col)
-        if el is None:
-            continue
-        acc = out.get(row)
-        contrib = el.scale(sign)
-        out[row] = contrib if acc is None else acc.add(contrib)
+    for col, el in c.values.items():
+        rows, signs = d[col]
+        for row, sign in zip(rows.tolist(), signs.tolist()):
+            contrib = el.scale(sign)
+            out[row] = out[row].add(contrib) if row in out else contrib
     return SpencerCochain(c.p + 1, c.q, c.dim, {k: v for k, v in out.items() if not v.is_zero()})
 
 
@@ -243,8 +237,8 @@ class DeRhamClasses:
         self.cocycles, _ = kernel_with_certificate(self.columns, nrows, ncols)
         self.solver = Eliminator(track=True)
         if p >= 1:
-            for j, col in enumerate(complex_.coboundary_columns(p - 1)):
-                self.solver.insert(col, ("boundary", j))
+            for j, (rows, values) in enumerate(complex_.coboundary_columns(p - 1)):
+                self.solver.insert(zip(rows.tolist(), values.tolist()), ("boundary", j))
         # Representatives of a basis of H^p: cocycles independent mod boundaries.
         self.class_reps: list[dict[int, Fraction]] = []
         for vec in self.cocycles:

@@ -327,3 +327,10 @@ def test_deleted_cartan_part_breaks_generation():
 
     with pytest.raises(ChevalleyError, match="not certified to span the Cartan subalgebra"):
         prove_jacobi(_edited("A2", delete))
+
+
+def test_algebra_cache_is_keyed_by_the_parsed_datum():
+    # Labels that parse to one datum share one built and proved table.
+    table = algebra("E7")
+    assert algebra("e7") is table and algebra(" E7 ") is table
+    assert algebra("E6") is not table

@@ -20,11 +20,12 @@ from fractions import Fraction as Q
 from functools import cache
 from math import lcm
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spencerlab.chevalley import algebra
-from spencerlab.linalg import PRIME_POOL, rref_dense, sparse_rank_modp
+from spencerlab.linalg import PRIME_POOL, csc, rref_dense, sparse_rank_modp
 from spencerlab.operators import (
     apply_delta,
     delta_constrained,
@@ -180,6 +181,13 @@ def reference_mirror(alg, lam, k, plus):
     }
 
 
+def _as_csc(cols):
+    """Integer (row, value) columns through linalg's one matrix constructor."""
+    entries = [(j, r, v) for j, col in enumerate(cols) for r, v in col]
+    c, r, v = (list(x) for x in zip(*entries)) if entries else ([], [], [])
+    return csc(len(cols), [(np.array(c, np.int64), np.array(r, np.int64), np.array(v, object))])
+
+
 def reference_nilpotency(alg, k, composite):
     """The audit from the reference composite, its rank taken modulo REFERENCE_PRIME.
 
@@ -193,7 +201,7 @@ def reference_nilpotency(alg, k, composite):
         "algebra": alg.label, "k": k,
         "composite_shape": [len(enumerate_basis(alg.dim, k + 2)), len(composite)],
         "composite_is_zero": all(not c for c in composite),
-        "composite_rank": sparse_rank_modp(scaled, REFERENCE_PRIME),
+        "composite_rank": sparse_rank_modp(_as_csc(scaled), REFERENCE_PRIME),
         "max_abs_entry": _max_abs(composite),
         "nnz": sum(len(c) for c in composite),
     }
@@ -277,6 +285,7 @@ def test_integer_assembly_matches_fraction_reference(label, k, kind, formula, se
 
 def assert_exact(mat, ref):
     """Integer columns equal to the reference as Fraction(v, D), D = lcm of denominators."""
-    assert all(type(v) is int for col in mat.cols for _, v in col)
+    assert mat.cols.values.dtype in (np.int64, object)
+    assert all(type(v) is int for v in mat.cols.values.tolist())
     assert mat.fraction_columns() == ref
     assert mat.denominator == lcm(*(v.denominator for col in ref for _, v in col))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Q
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,12 +15,14 @@ from spencerlab.linalg import (
     DENSE_ENTRY_LIMIT,
     PRIME_POOL,
     Eliminator,
+    csc,
     dense_rank_modp,
     kernel_with_certificate,
     rref_dense,
     same_subspace,
     sparse_kernel_exact,
     sparse_rank_modp,
+    value_dtype,
     verify_kernel_vectors,
 )
 from spencerlab.operators import delta_constrained
@@ -52,10 +55,19 @@ def _to_cols(rows, ncols):
     return cols
 
 
+def _csc(cols):
+    """Hand-written (row, value) columns as a matrix, through the one constructor."""
+    entries = [(j, r, v) for j, col in enumerate(cols) for r, v in col]
+    c, r, v = (list(x) for x in zip(*entries)) if entries else ([], [], [])
+    ints = all(type(x) is int for x in v)
+    dtype = value_dtype(max(map(abs, v), default=0)) if ints else object
+    return csc(len(cols), [(np.array(c, np.int64), np.array(r, np.int64), np.array(v, dtype))])
+
+
 def _integral(cols):
     """Integer columns and their common denominator, the form the modular path takes."""
     den = lcm(*(v.denominator for col in cols for _, v in col))
-    return [[(r, int(v * den)) for r, v in col] for col in cols], den
+    return _csc([[(r, int(v * den)) for r, v in col] for col in cols]), den
 
 
 def test_rref_identity():
@@ -68,7 +80,7 @@ def test_rref_identity():
 def test_nullspace_simple():
     # x + y + z = 0 has a 2-dimensional kernel
     rows = [[Q(1), Q(1), Q(1)]]
-    basis, _rank_found = sparse_kernel_exact(_to_cols(rows, 3))
+    basis, _rank_found = sparse_kernel_exact(_csc(_to_cols(rows, 3)))
     assert len(basis) == 2
     for vec in basis:
         assert sum(vec.values(), Q(0)) == 0
@@ -80,7 +92,7 @@ def test_sparse_exact_matches_dense():
         nrows, ncols = rng.randint(2, 7), rng.randint(2, 7)
         target = rng.randint(0, min(nrows, ncols))
         rows = _random_matrix(rng, nrows, ncols, target)
-        cols = _to_cols(rows, ncols)
+        cols = _csc(_to_cols(rows, ncols))
         vectors, rank = sparse_kernel_exact(cols)
         assert rank == _rank(rows)
         assert len(vectors) == ncols - rank
@@ -99,7 +111,7 @@ def test_modular_rank_agrees_with_exact():
 
 def test_certificate_small_path():
     rows = [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(6)]]
-    cols = _to_cols(rows, 3)
+    cols = _csc(_to_cols(rows, 3))
     vectors, cert = kernel_with_certificate(cols, 2, 3)
     assert cert.method == "dense-exact"
     assert cert.exact_confirmed
@@ -182,7 +194,7 @@ def test_eliminator_property(rows, weights):
         assert sparse_rank_modp(icols, p) == exact
         assert dense_rank_modp(icols, nrows, ncols, p) == exact
     # kernel vectors keep the RREF free-variable form
-    vectors, rank = sparse_kernel_exact(cols)
+    vectors, rank = sparse_kernel_exact(_csc(cols))
     assert rank == exact
     free = [c for c in range(ncols) if c not in pivots]
     for vec, fc in zip(vectors, free):
@@ -317,7 +329,7 @@ _int_matrices = st.integers(1, 6).flatmap(
 @example(rows=[[1, 2, 3], [2, 4, 6], [0, 0, 0]])
 def test_lifted_kernel_equals_fraction_kernel(rows):
     nrows, ncols = len(rows), len(rows[0])
-    cols = _to_cols(rows, ncols)
+    cols = _csc(_to_cols(rows, ncols))
     expected, rank = sparse_kernel_exact(cols)
     vectors, cert, fallbacks = _certified_counting_fallbacks(cols, nrows, ncols)
     assert vectors == expected
@@ -336,7 +348,7 @@ def test_unlucky_prime_moves_to_the_next_prime_triple(which):
     # any lift and the next three primes certify the kernel without the
     # elimination over Q.
     p = PRIME_POOL[which]
-    cols = [[(0, p)], [(0, 1)]]
+    cols = _csc([[(0, p)], [(0, 1)]])
     expected, _ = sparse_kernel_exact(cols)
     assert expected == [{1: Q(1), 0: Q(-1, p)}]
     vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
@@ -348,7 +360,7 @@ def test_unlucky_prime_moves_to_the_next_prime_triple(which):
 def test_wrong_lift_fails_the_check_and_falls_back_to_the_fraction_kernel(monkeypatch):
     # A reconstruction that returns a wrong fraction yields vectors that the
     # exact membership check rejects, so the kernel is eliminated over Q.
-    cols = [[(0, 2)], [(0, 3)]]
+    cols = _csc([[(0, 2)], [(0, 3)]])
     expected, _ = sparse_kernel_exact(cols)
     assert expected == [{1: Q(1), 0: Q(-3, 2)}]
     monkeypatch.setattr(linalg, "_rational_reconstruction", lambda u, m: Q(1))
@@ -362,7 +374,7 @@ def test_eliminated_entry_divisible_by_a_prime_keeps_the_first_triple():
     # The entry p0 of column 1 sits on the pivot row of column 0, so it is
     # eliminated and never becomes a pivot: no unit check applies to it.
     p0 = PRIME_POOL[0]
-    cols = [[(0, 1)], [(0, p0)]]
+    cols = _csc([[(0, 1)], [(0, p0)]])
     vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
     assert vectors == [{1: Q(1), 0: Q(-p0)}] and fallbacks == 0
     assert cert.primes_used == list(PRIME_POOL[:3]) and cert.modular_ranks == [1, 1, 1]
@@ -372,7 +384,7 @@ def test_non_unit_pivots_in_every_triple_raise_rank_disagreement():
     # One prime of each of the four triples divides the only pivot.
     lead = PRIME_POOL[0] * PRIME_POOL[4] * PRIME_POOL[8] * PRIME_POOL[9]
     with pytest.raises(linalg.RankDisagreement) as info:
-        _certified_counting_fallbacks([[(0, lead)], [(0, 1)]], 1, 2)
+        _certified_counting_fallbacks(_csc([[(0, lead)], [(0, 1)]]), 1, 2)
     assert "\n" not in str(info.value) and "vanished modulo some" in str(info.value)
 
 
@@ -380,9 +392,9 @@ def test_row_positions_put_the_sparsest_row_first():
     # Row counts: row 0 has 3 entries, row 1 has 1, row 2 none, row 3 has 1,
     # row 4 has 2.  Fewest entries first, ties to the smaller row index.
     cols = [[(0, 1), (1, 1), (4, 1)], [(0, 1), (3, 1)], [(0, 1), (4, 1)]]
-    assert list(linalg._row_positions(cols, 5)) == [4, 1, 0, 2, 3]
-    assert list(linalg._row_positions([], 3)) == [0, 1, 2]
-    assert list(linalg._row_positions([[], []], 0)) == []
+    assert list(linalg._row_positions(_csc(cols), 5)) == [4, 1, 0, 2, 3]
+    assert list(linalg._row_positions(_csc([]), 3)) == [0, 1, 2]
+    assert list(linalg._row_positions(_csc([[], []]), 0)) == []
 
 
 def _relations_modulo(cols, nrows, ncols):
@@ -409,7 +421,7 @@ def _relations_modulo(cols, nrows, ncols):
 @given(rows=_int_matrices)
 def test_relations_modulo_the_product_reduce_to_each_prime(rows):
     nrows, ncols = len(rows), len(rows[0])
-    cols = _to_cols(rows, ncols)
+    cols = _csc(_to_cols(rows, ncols))
     rels, rank, cert = _relations_modulo(cols, nrows, ncols)
     for p in cert.primes_used:
         expected, rank_p = linalg._relations(linalg._columns_mod_p(cols, p), p)
@@ -422,7 +434,7 @@ def test_kernel_too_large_to_lift_costs_one_tracked_pass(monkeypatch):
     # bound modulo the product of the first three primes: one tracked pass
     # modulo that product, then Q.
     a, b = 2**200 + 1, 3**126
-    cols = [[(0, a)], [(0, b)]]
+    cols = _csc([[(0, a)], [(0, b)]])
     passes = []
     relations = linalg._relations
 

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 
 from spencerlab import operators
 from spencerlab.chevalley import algebra, bracket
+from spencerlab.kernels import kernel
 from spencerlab.linalg import Eliminator
 from spencerlab.operators import (
     SpencerMatrix,
@@ -18,6 +19,7 @@ from spencerlab.operators import (
     delta_constrained,
     generator_formula_agreement,
     generator_images,
+    neg_dual,
     nilpotency_audit,
     verify_mirror,
 )
@@ -25,7 +27,13 @@ from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual, zero
 from spencerlab.sym import SymElement, enumerate_basis, sym_product
 
 from conftest import load_golden
-from test_integer_assembly import reference_columns
+from test_integer_assembly import (
+    _max_abs,
+    reference_columns,
+    reference_compose,
+    reference_nilpotency,
+    reference_sum,
+)
 
 
 # -- independent dense oracles ------------------------------------------------
@@ -217,6 +225,21 @@ def test_zero_lambda_zero_matrix(a1, a2, g2):
     assert apply_delta(g2, zero_dual(g2), el).is_zero()
 
 
+def test_sum_with_zero_matrix_keeps_a_denominator_past_int64(g2, tmp_path):
+    # The zero matrix has denominator 1, so the sum scales its (empty) values
+    # by the other matrix's denominator, here above 2^63.
+    entries = [[0, 1] for _ in range(g2.dim)]
+    entries[0] = [1, 2**70 + 1]
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    mat = delta_constrained(g2, parse_lambda_spec(g2, f"file:{path}"), 2)
+    zero = delta_constrained(g2, zero_dual(g2), 2)
+    assert mat.denominator >= 2**63
+    for total in (zero.add(mat), mat.add(zero)):
+        assert total.fraction_columns() == mat.fraction_columns()
+        assert total.denominator == mat.denominator
+
+
 def test_lambda_linearity(a2):
     rng = random.Random(8)
     for trial in range(5):
@@ -252,9 +275,17 @@ def test_equivalent_formula_full_matrix_agrees(a2):
 
 # -- chunked assembly ---------------------------------------------------------------
 
+def fraction_kernel(cols):
+    """Free-variable kernel basis of Fraction columns by a tracked elimination over Q."""
+    elim = Eliminator(track=True)
+    relations = (elim.insert(dict(col), j) for j, col in enumerate(cols))
+    return [rel for rel in relations if rel is not None]
+
+
 def test_object_values_match_fraction_reference(g2, tmp_path):
     # numerators near 10^30 push the images past the int64 bound, so the
-    # assembly sums Python ints in object arrays
+    # assembly sums Python ints in object arrays; the sum, the composite and
+    # the kernel pass then run on object values too
     rng = random.Random(30)
     entries = [[0, 1] for _ in range(g2.dim)]
     for i in rng.sample(range(g2.dim), 4):
@@ -266,8 +297,23 @@ def test_object_values_match_fraction_reference(g2, tmp_path):
     for k in (1, 2):
         assert k * max(sum(map(abs, t.values())) for t in images.tables) >= 2**63
         mat = delta_constrained(g2, lam, k)
-        assert all(type(v) is int for col in mat.cols for _, v in col)
+        assert mat.cols.values.dtype == object
+        assert all(type(v) is int for v in mat.cols.values)
         assert mat.fraction_columns() == reference_columns(g2, lam, k)
+        minus = delta_constrained(g2, neg_dual(lam), k)
+        total = reference_sum(mat.fraction_columns(), minus.fraction_columns())
+        assert verify_mirror(g2, lam, k) == {
+            "algebra": "G2", "k": k, "holds": all(not c for c in total),
+            "max_abs_entry": _max_abs(total), "shape": [mat.nrows, mat.ncols],
+        }
+        kb, cert = kernel(mat)
+        expected = fraction_kernel(mat.fraction_columns())
+        assert kb.coords == expected and cert.rank + len(expected) == mat.ncols
+    # k = 1 only: the k = 2 composite's kernel is too large to lift and its
+    # elimination over Q takes about 25 s.
+    lower, upper = delta_constrained(g2, lam, 1), delta_constrained(g2, lam, 2)
+    composite = reference_compose(upper.fraction_columns(), lower.fraction_columns())
+    assert nilpotency_audit(g2, lam, 1) == reference_nilpotency(g2, 1, composite)
 
 
 def test_chunk_size_does_not_change_columns(a2, g2, monkeypatch):
@@ -276,7 +322,10 @@ def test_chunk_size_does_not_change_columns(a2, g2, monkeypatch):
     for budget in (1, 10**9):
         monkeypatch.setattr(operators, "_CHUNK_TERMS", budget)
         got = (delta_constrained(g2, lam, 3).cols, delta_classical(a2, 3).cols)
-        assert got == expect
+        for a, b in zip(got, expect):
+            for name in ("indptr", "rows", "values"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tolist() == y.tolist()
 
 
 def test_degree_one_columns_are_the_generator_images(a2):
@@ -367,7 +416,7 @@ def test_nilpotency_rank_matches_span_rank(a2, g2):
                         (g2, cartan_dual(g2, 1), 1)):
         rep = nilpotency_audit(alg, lam, k)
         composite = delta_constrained(alg, lam, k + 1).compose(delta_constrained(alg, lam, k))
-        assert rep["composite_rank"] == Eliminator(composite.cols).rank
+        assert rep["composite_rank"] == Eliminator(composite.fraction_columns()).rank
 
 
 def test_nilpotency_audit_golden_a2(a2):

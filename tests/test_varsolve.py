@@ -63,8 +63,8 @@ def test_layout_is_the_torus_coboundary(a1, d, n):
     bundle = LatticeBundle(d, n, a1)
     cx = CellComplex.torus(d, n)
     rows = [[] for _ in range(cx.n_cells(1))]
-    for node, col in enumerate(cx.coboundary_columns(0)):
-        for row, sign in col:
+    for node, (col_rows, signs) in enumerate(cx.coboundary_columns(0)):
+        for row, sign in zip(col_rows.tolist(), signs.tolist()):
             rows[row].append((sign, node))
     assert bundle.n_nodes == cx.n_cells(0) and bundle.n_edges == cx.n_cells(1)
     for e, (t, h) in enumerate(zip(bundle.tails.tolist(), bundle.heads.tolist())):
