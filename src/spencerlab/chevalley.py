@@ -480,14 +480,12 @@ def build_chevalley_basis(datum: CartanDatum) -> LieAlgebraTable:
     return table
 
 
+_algebra = lru_cache(maxsize=16)(build_chevalley_basis)
+
+
 def algebra(label: str) -> LieAlgebraTable:
     """Build (and cache, by parsed datum) the algebra for a label like ``A1`` or ``E7``."""
     return _algebra(CartanDatum.from_label(label))
-
-
-@lru_cache(maxsize=16)
-def _algebra(datum: CartanDatum) -> LieAlgebraTable:
-    return build_chevalley_basis(datum)
 
 
 def killing_determinant_sign(table: LieAlgebraTable) -> int:

@@ -129,9 +129,6 @@ class CSC:
     rows: np.ndarray
     values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
     def __getitem__(self, j: int):
         a, b = self.indptr[j], self.indptr[j + 1]
         return self.rows[a:b], self.values[a:b]
@@ -144,13 +141,14 @@ class CSC:
         """(columns, rows, values) of the entries of columns start..stop-1."""
         import numpy as np
 
-        stop = len(self) if stop is None else stop
+        stop = len(self.indptr) - 1 if stop is None else stop
         lo, hi = self.indptr[start], self.indptr[stop]
         cols = np.repeat(np.arange(start, stop), np.diff(self.indptr[start : stop + 1]))
         return cols, self.rows[lo:hi], self.values[lo:hi]
 
     def max_abs(self) -> int:
-        return int(abs(self.values).max()) if len(self.values) else 0
+        # Not abs(values): numpy's int64 abs loop faults in more of its code and raised peak RSS.
+        return max(int(self.values.max(initial=0)), -int(self.values.min(initial=0)))
 
 
 def csc(ncols: int, chunks: Iterable[tuple]) -> CSC:

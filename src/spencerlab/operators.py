@@ -298,9 +298,16 @@ def _reduced(cols: CSC, scale: int) -> tuple[CSC, int]:
     The returned denominator is then the lcm of the reduced denominators of
     the entries cols / scale (1 for a zero matrix).
     """
-    import numpy as np
-
-    g = gcd(scale, int(np.gcd.reduce(cols.values)))
+    if not len(cols.values):
+        # Dividing even an empty int64 array by a scale past 2^63 overflows.
+        return cols, 1
+    # Python's gcd over slices, stopping at 1: calling numpy's gcd loop mapped
+    # one more 64 KiB window of numpy's code and raised peak RSS.
+    g = scale
+    for start in range(0, len(cols.values), _CHUNK_TERMS):
+        if g == 1:
+            break
+        g = gcd(g, *cols.values[start : start + _CHUNK_TERMS].tolist())
     if g == 1:
         return cols, scale
     return CSC(cols.indptr, cols.rows, cols.values // g), scale // g

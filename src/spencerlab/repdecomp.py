@@ -155,12 +155,12 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
 
         # Scaling a vector changes no rank, so each is cleared of denominators once.
         scales = [lcm(*[v.denominator for v in vec.values()]) for vec in kb.coords]
-        value = [int(v * m) for vec, m in zip(kb.coords, scales) for v in vec.values()]
+        vector, row, value = zip(*[(i, j, int(v * scales[i]))
+                                   for i, vec in enumerate(kb.coords) for j, v in vec.items()])
         value = np.array(value, value_dtype(max(map(abs, value))))
-        vector = np.repeat(np.arange(kb.dim), [len(vec) for vec in kb.coords])
-        row = np.array([j for vec in kb.coords for j in vec], np.int64)
+        vector, row = np.array(vector, np.int64), np.array(row, np.int64)
         for mu in sorted(weights_present):
-            keep = np.array([col_weight[j] != mu for j in row.tolist()], bool)
+            keep = np.array([col_weight[j] != mu for j in row.tolist()])
             cols = csc(kb.dim, [(vector[keep], row[keep], value[keep])])
             _, cert = kernel_with_certificate(cols, len(kb.monomials), kb.dim)
             d = kb.dim - cert.rank

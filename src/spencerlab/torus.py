@@ -104,10 +104,10 @@ def _cohomology_dims(complex_: CellComplex, kappa: int) -> list[int]:
     for p in range(complex_.dimension):
         # column j*kappa + s of d_p (x) I_kappa is column j of d_p on coordinate s
         col, row, value = complex_.coboundary_columns(p).entries()
-        cols = csc(complex_.n_cells(p) * kappa, [((col[:, None] * kappa + s).ravel(),
-                                                   (row[:, None] * kappa + s).ravel(),
-                                                   np.repeat(value, kappa))])
-        _, cert = kernel_with_certificate(cols, complex_.n_cells(p + 1) * kappa, len(cols))
+        ncols = complex_.n_cells(p) * kappa
+        cols = csc(ncols, [((col[:, None] * kappa + s).ravel(), (row[:, None] * kappa + s).ravel(),
+                            np.repeat(value, kappa))])
+        _, cert = kernel_with_certificate(cols, complex_.n_cells(p + 1) * kappa, ncols)
         ranks.append(cert.rank)
     ranks.append(0)
     return [complex_.n_cells(p) * kappa - ranks[p + 1] - ranks[p] for p in range(len(ranks) - 1)]
@@ -233,7 +233,7 @@ class DeRhamClasses:
         self.complex = complex_
         self.p = p
         self.columns = complex_.coboundary_columns(p)
-        nrows, ncols = complex_.n_cells(p + 1), len(self.columns)
+        nrows, ncols = complex_.n_cells(p + 1), complex_.n_cells(p)
         self.cocycles, _ = kernel_with_certificate(self.columns, nrows, ncols)
         self.solver = Eliminator(track=True)
         if p >= 1:

@@ -219,7 +219,7 @@ def test_zero_lambda_zero_matrix(a1, a2, g2):
     for alg in (a1, a2, g2):
         for k in (1, 2, 3):
             mat = delta_constrained(alg, zero_dual(alg), k)
-            assert mat.is_zero() and len(mat.cols) == mat.ncols
+            assert mat.is_zero() and len(mat.cols.indptr) == mat.ncols + 1
             assert mat.denominator == 1
     el = SymElement(2, g2.dim, {(0, 3): Q(2), (5, 9): Q(-1, 3)})
     assert apply_delta(g2, zero_dual(g2), el).is_zero()
@@ -232,12 +232,24 @@ def test_sum_with_zero_matrix_keeps_a_denominator_past_int64(g2, tmp_path):
     entries[0] = [1, 2**70 + 1]
     path = tmp_path / "lam.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
-    mat = delta_constrained(g2, parse_lambda_spec(g2, f"file:{path}"), 2)
+    lam = parse_lambda_spec(g2, f"file:{path}")
+    mat = delta_constrained(g2, lam, 2)
     zero = delta_constrained(g2, zero_dual(g2), 2)
     assert mat.denominator >= 2**63
     for total in (zero.add(mat), mat.add(zero)):
         assert total.fraction_columns() == mat.fraction_columns()
         assert total.denominator == mat.denominator
+    # Sums and composites that cancel to zero keep int64 values and reduce to
+    # denominator 1 from a scale above 2^63.
+    composite = mat.compose(delta_constrained(g2, zero_dual(g2), 1))
+    assert composite.is_zero() and composite.denominator == 1
+    assert verify_mirror(g2, lam, 2) == {
+        "algebra": "G2", "k": 2, "holds": True, "max_abs_entry": "0/1",
+        "shape": [mat.nrows, mat.ncols],
+    }
+    lower, upper = delta_constrained(g2, lam, 1), delta_constrained(g2, lam, 2)
+    reference = reference_compose(upper.fraction_columns(), lower.fraction_columns())
+    assert nilpotency_audit(g2, lam, 1) == reference_nilpotency(g2, 1, reference)
 
 
 def test_lambda_linearity(a2):
