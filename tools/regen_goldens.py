@@ -75,6 +75,8 @@ REPORT_BODY_CASES = (
      "--basis", "--decompose"],
     ["kernel", "--algebra", "G2", "--k", "2", "--lambda", "preset:random:1000",
      "--basis", "--decompose"],
+    ["kernel", "--algebra", "G2", "--k", "2", "--lambda", "preset:cartan1",
+     "--basis", "--decompose"],
     ["verify", "--algebra", "A2", "--lambda", "preset:random:11", "--k-max", "2"],
     ["cohomology", "--torus", "2", "--n", "4", "--algebra", "A1", "--k", "2",
      "--lambda", "preset:cartan1"],
