@@ -10,20 +10,21 @@ be saved by a zero kernel.  The upper bound is an input parameter here, not
 something computed from the algebra, and the report says so.
 
 A kernel is kept in one form, ``KernelBasis.coords``: the free-variable
-basis from ``linalg``, over columns in lexicographic monomial order.  Each
-vector has coefficient 1 at its largest column, its free monomial f; the
-free columns increase along the list, and no vector touches another's f.
-That is the reduced echelon form of the span, so it depends on the span
-alone: two kernels are equal exactly when their ``coords`` lists are.  And
-x lies in the span K exactly when x = sum_f x[f] * K_f, since the
-difference vanishes on every f and the only such vector of K is 0.
-``KernelBasis.basis`` builds Sym^k elements for the report only.
+basis from ``linalg``, over columns in lexicographic monomial order, each
+vector K_f a primitive integer vector with a positive coefficient c_f at its
+largest column, its free monomial f; the free columns increase along the
+list, and no vector touches another's f.  The K_f / c_f are the reduced
+echelon form of the span, so the form depends on the span alone: two
+kernels are equal exactly when their ``coords`` lists are.  And x lies in
+the span K exactly when x = sum_f (x[f] / c_f) * K_f, since the difference
+vanishes on every f and the only such vector of K is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .cartan import CartanDatum, CartanError
 from .chevalley import LieAlgebraTable
@@ -42,16 +43,22 @@ class KernelBasis:
     degree: int
     algebra_label: str
     dim: int  # kernel dimension
-    coords: list[dict[int, Fraction]] = field(repr=False)  # free-variable form, by column
+    coords: list[dict[int, int]] = field(repr=False)  # free-variable form, by column
     monomials: list[tuple[int, ...]] = field(repr=False)  # the columns, enumerate_basis order
     algebra_dim: int
 
     @property
+    def free_coefficients(self) -> list[int]:
+        """Each vector's coefficient at its free monomial, its largest column."""
+        return [vec[max(vec)] for vec in self.coords]
+
+    @property
     def basis(self) -> list[SymElement]:
-        """The kernel vectors as Sym^k elements, built from ``coords`` on each read."""
+        """The K_f / c_f (module docs) as Sym^k elements, for the report; built on each read."""
         mons = self.monomials
-        return [SymElement(self.degree, self.algebra_dim, {mons[j]: v for j, v in vec.items()})
-                for vec in self.coords]
+        return [SymElement(self.degree, self.algebra_dim,
+                           {mons[j]: Fraction(v, d) for j, v in vec.items()})
+                for vec, d in zip(self.coords, self.free_coefficients)]
 
 
 def kernel(mat: SpencerMatrix) -> tuple[KernelBasis, RankCertificate]:
@@ -79,9 +86,10 @@ def free_monomials(kb: KernelBasis) -> dict[tuple[int, ...], int]:
         f = max(vec, default=last)
         if f <= last:
             raise CertificationError(f"kernel vector {i} is zero or out of free-monomial order")
-        if vec[f] != 1:
+        if vec[f] <= 0 or gcd(*vec.values()) != 1:
             raise CertificationError(
                 f"kernel vector {i} has coefficient {vec[f]} at its free monomial {mons[f]}"
+                " and is not primitive with a positive one"
             )
         for mono in map(mons.__getitem__, vec):
             if mono in free:

@@ -3,11 +3,10 @@
 Every sparse elimination goes through one class, :class:`Eliminator`.  It
 reduces vectors (dicts keyed by any totally ordered hashables) over the
 rationals or modulo M with one fixed pivot rule: vectors are reduced in the
-order given, a vector's lead is its key of smallest position (by default
-the smallest key), and a new pivot row is stored normalised with its lead
-entry removed.  Optionally each pivot also records the combination of
-inserted vectors (by caller tag) that produced it, which yields kernels and
-exact solves.
+order given, a vector's lead is its smallest key, and a new pivot row is
+stored normalised with its lead entry removed.  Optionally each pivot also
+records the combination of inserted vectors (by caller tag) that produced
+it, which yields kernels and exact solves.
 
 Every matrix has one layout, :class:`CSC`, built by :func:`csc` alone; the
 passes read its column slices.
@@ -42,9 +41,9 @@ tracked pass mod p_i alone would give (Dixon, Numer. Math. 1982; Stein,
 The pass lets the sparsest row lead (Markowitz, 1957), which keeps fill low
 on operators whose dense rows would otherwise lead: a position table, built
 once per matrix from a ``bincount`` of the row indices and a stable argsort,
-orders rows by fewest entries, ties to the smaller row index, and the lead
-is the key of smallest position.  Pivot rows stay keyed by the original row
-indices.  Neither a rank nor a relation depends on which row leads a pivot.
+orders rows by fewest entries, ties to the smaller row index, and the pass
+keys each row by its position, so the smallest key leads.  Relations are over
+columns, so neither a rank nor a relation depends on which row leads a pivot.
 
 Every residue of a relation is lifted to a fraction n/d with
 |n|, d <= sqrt(M/2), about 2^44, by rational reconstruction (Wang, 1981).
@@ -58,8 +57,8 @@ earlier columns only, so every column free mod p1 is free over Q; both free
 sets have m elements, so they are equal and the vectors are the rational
 free-variable basis, vector for vector.  If a reconstruction or a check
 fails, the kernel is eliminated over Q instead, so a failed lift costs one
-tracked pass.  ``kernels`` relies on the free-variable form of every
-returned kernel.  "exact" in the method
+tracked pass.  Each vector is returned as its primitive integer multiple,
+which ``kernels`` relies on.  "exact" in the method
 ``multi-modular+exact`` names an exact rational basis with an exact check,
 whichever way it was found.
 
@@ -210,15 +209,12 @@ class Eliminator:
     entry and, with ``track=True``, the combination of inserted vectors, by
     tag, that equals the full pivot row.  Vectors given to the constructor
     are inserted under their positions as tags.  The lead of a vector is its
-    smallest key, or, given ``position`` (a table indexed by key, such as
-    :func:`_row_positions`), its key of smallest position.
+    smallest key.
     """
 
-    def __init__(self, vectors: Iterable = (), p: int | None = None, track: bool = False,
-                 position: Sequence[int] | None = None):
+    def __init__(self, vectors: Iterable = (), p: int | None = None, track: bool = False):
         self.p = p
         self.track = track
-        self.key = None if position is None else position.__getitem__
         self.pivots: dict = {}
         for i, vec in enumerate(vectors):
             self.insert(vec, i)
@@ -237,9 +233,9 @@ class Eliminator:
 
         Returns the first lead without a pivot row, or None once cur is zero.
         """
-        pivots, p, key = self.pivots, self.p, self.key
+        pivots, p = self.pivots, self.p
         while cur:
-            lead = min(cur, key=key)
+            lead = min(cur)
             piv = pivots.get(lead)
             if piv is None:
                 return lead
@@ -317,14 +313,14 @@ def rref_dense(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
-def _columns_mod_p(cols: CSC, p: int):
+def _columns_mod_p(cols: CSC, p: int, position):
     import numpy as np
 
     # One int object per row, shared by every column and pivot row that holds
     # it; a fresh object per entry made small dense passes use more memory.
     row_ints = np.empty(int(cols.rows.max(initial=-1)) + 1, object)
     present = np.flatnonzero(np.bincount(cols.rows))
-    row_ints[present] = present.tolist()
+    row_ints[present] = position[present].tolist()
     for rows, values in cols:
         d: dict[int, int] = {}
         for r, v in zip(row_ints[rows].tolist(), values.tolist()):
@@ -376,30 +372,23 @@ def sparse_rank_modp(cols: CSC, p: int) -> int:
     return Eliminator(vectors, p=p).rank
 
 
-def _row_positions(cols: CSC, nrows: int) -> memoryview:
-    """Position of each row when rows are sorted by entry count, then index.
-
-    Rows with equal counts keep their index order.  A memoryview over int64:
-    a lookup returns a Python int, and no int object is kept per row.
-    """
+def _row_positions(cols: CSC, nrows: int):
+    """Position of each row, as int64, when rows are sorted by entry count, then index."""
     import numpy as np
 
     position = np.bincount(cols.rows, minlength=nrows)
     # Each row's count is overwritten by its place in the stable order by count.
     position[np.argsort(position, kind="stable")] = np.arange(nrows)
-    return memoryview(position)
+    return position
 
 
-def _relations(
-    cols: Iterable, p: int | None, position: Sequence[int] | None = None
-) -> tuple[list[dict], int]:
+def _relations(cols: Iterable, p: int | None) -> tuple[list[dict], int]:
     """Relations of the columns that reduce to zero, and the rank.
 
-    Column j is inserted under tag j into a tracked elimination over Q or
-    Z/p, with leads chosen by ``position`` when given; its relation is
-    supported on j (coefficient 1) and earlier pivot columns.
+    Column j is inserted under tag j into a tracked elimination over Q or Z/p;
+    its relation is supported on j (coefficient 1) and earlier pivot columns.
     """
-    elim = Eliminator(p=p, track=True, position=position)
+    elim = Eliminator(p=p, track=True)
     relations = []
     for j, col in enumerate(cols):
         relation = elim.insert(col, j)
@@ -408,12 +397,20 @@ def _relations(
     return relations, elim.rank
 
 
-def sparse_kernel_exact(cols: CSC) -> tuple[list[dict[int, Fraction]], int]:
-    """Exact kernel in reduced (free-variable) form, and the rank, over Q.
+def _primitive(vec: dict) -> dict[int, int]:
+    """vec, with coefficient 1 at its free column, times the lcm of its
+    denominators: its primitive integer multiple, positive at that column."""
+    scale = lcm(*[c.denominator for c in vec.values()])
+    return {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
+
+
+def sparse_kernel_exact(cols: CSC) -> tuple[list[dict[int, int]], int]:
+    """Exact kernel as primitive integer vectors (module docs), and the rank, over Q.
 
     Deterministic; the fallback when a modular lift fails.
     """
-    return _relations((zip(rows.tolist(), values.tolist()) for rows, values in cols), None)
+    vectors, rank = _relations((zip(r.tolist(), v.tolist()) for r, v in cols), None)
+    return [_primitive(vec) for vec in vectors], rank
 
 
 def _rational_reconstruction(u: int, m: int) -> Fraction | None:
@@ -434,31 +431,28 @@ def _rational_reconstruction(u: int, m: int) -> Fraction | None:
 
 
 def _reconstruct(relations: list[dict], m: int) -> bool:
-    """Replace each residue mod m by its fraction in place; False if one has none.
+    """Lift each relation mod m to its primitive integer vector, in place; False on failure.
 
     In place, so the residues and the fractions are not held side by side.
     """
-    for vec in relations:
+    for i, vec in enumerate(relations):
         for j, u in vec.items():
             vec[j] = _rational_reconstruction(u, m)
             if vec[j] is None:
                 return False
+        relations[i] = _primitive(vec)
     return True
 
 
-def verify_kernel_vectors(cols: CSC, vectors: Iterable[dict[int, Fraction]]) -> bool:
+def verify_kernel_vectors(cols: CSC, vectors: Iterable[dict]) -> bool:
     """Exact check that each combination of columns is the zero vector.
 
-    Each vector is scaled by the lcm of its coefficient denominators, so
-    integer columns are combined in integers, read from the column slices.
+    Coefficients multiply the column slices as given, so integer vectors
+    combine integer columns in integers.
     """
     for vec in vectors:
-        # A list, not a generator: unpacking a generator builds an oversized
-        # tuple and leaves one 1-tuple per call in the interpreter's free list.
-        scale = lcm(*[c.denominator for c in vec.values()])
         acc: dict = {}
         for j, c in vec.items():
-            c = c.numerator * (scale // c.denominator)
             rows, values = cols[j]
             for r, v in zip(rows.tolist(), values.tolist()):
                 acc[r] = acc.get(r, 0) + c * v
@@ -469,7 +463,7 @@ def verify_kernel_vectors(cols: CSC, vectors: Iterable[dict[int, Fraction]]) -> 
 
 def kernel_with_certificate(
     cols: CSC, nrows: int, ncols: int, denominator: int = 1
-) -> tuple[list[dict[int, Fraction]], RankCertificate]:
+) -> tuple[list[dict[int, int]], RankCertificate]:
     """Kernel basis plus the rank certificate described in the module docs.
 
     ``cols`` holds integers and the matrix is cols / denominator, with the
@@ -492,7 +486,7 @@ def kernel_with_certificate(
             raise RankDisagreement("prime pool exhausted")
         modulus = primes[0] * primes[1] * primes[2]
         try:
-            vectors, rank = _relations(_columns_mod_p(cols, modulus), modulus, position)
+            vectors, rank = _relations(_columns_mod_p(cols, modulus, position), modulus)
             break
         except _NonUnitPivot:
             continue

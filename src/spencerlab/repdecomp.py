@@ -67,20 +67,17 @@ def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     """Check ad-stability of the kernel span; failures list (x, s) pairs.
 
     Membership is read off the free-variable form (module docs), in
-    integers: every vector is scaled by the lcm D of all denominators, and
-    D * ad_a(s) is in the span exactly when D times its pivot part equals
-    its free part pushed through the scaled pivot parts of the free vectors.
+    integers: with D the lcm of the free coefficients c_f, y = ad_a(s) is in
+    the span exactly when D times its pivot part is sum_f y[f] * D / c_f
+    times the pivot part of K_f.
     """
     free, mons = free_monomials(kb), kb.monomials
-    scale = lcm(*[v.denominator for vec in kb.coords for v in vec.values()])
-    # The scaled pivot part of each vector; () when it has none.
+    leads = kb.free_coefficients
+    scale = lcm(*leads)
+    # The pivot part of each K_f times D / c_f; () when it has none.
     pivot_parts = [
-        tuple(
-            (mons[j], v.numerator * (scale // v.denominator))
-            for j, v in vec.items()
-            if mons[j] not in free
-        )
-        for vec in kb.coords
+        tuple((mons[j], v * (scale // c)) for j, v in vec.items() if mons[j] not in free)
+        for vec, c in zip(kb.coords, leads)
     ]
     # [x_a, x_b] = -[x_b, x_a]: the table is antisymmetric by construction
     # and ``chevalley.prove_jacobi`` checks it, so column b is minus row b.
@@ -88,11 +85,10 @@ def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
 
     violations = []
     for s_idx, vec in enumerate(kb.coords):
-        # D * ad_a(s) for every generator a at once, by the Leibniz rule.
+        # ad_a(s) for every generator a at once, by the Leibniz rule.
         images: dict[int, dict[tuple[int, ...], int]] = {}
         for col, coeff in vec.items():
             mono = mons[col]
-            coeff = coeff.numerator * (scale // coeff.denominator)
             for j, b in enumerate(mono):
                 rest = mono[:j] + mono[j + 1 :]
                 for a, entries in rows[b].items():
@@ -153,10 +149,8 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     else:
         import numpy as np
 
-        # Scaling a vector changes no rank, so each is cleared of denominators once.
-        scales = [lcm(*[v.denominator for v in vec.values()]) for vec in kb.coords]
-        vector, row, value = zip(*[(i, j, int(v * scales[i]))
-                                   for i, vec in enumerate(kb.coords) for j, v in vec.items()])
+        vector, row, value = zip(*[(i, j, v) for i, vec in enumerate(kb.coords)
+                                   for j, v in vec.items()])
         value = np.array(value, value_dtype(max(map(abs, value))))
         vector, row = np.array(vector, np.int64), np.array(row, np.int64)
         for mu in sorted(weights_present):

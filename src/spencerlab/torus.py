@@ -240,7 +240,7 @@ class DeRhamClasses:
             for j, (rows, values) in enumerate(complex_.coboundary_columns(p - 1)):
                 self.solver.insert(zip(rows.tolist(), values.tolist()), ("boundary", j))
         # Representatives of a basis of H^p: cocycles independent mod boundaries.
-        self.class_reps: list[dict[int, Fraction]] = []
+        self.class_reps: list[dict[int, int]] = []
         for vec in self.cocycles:
             if self.solver.insert(vec, ("class", len(self.class_reps))) is None:
                 self.class_reps.append(vec)
@@ -278,14 +278,15 @@ def phi_deg(
     monomials (``kernels`` module docs).  Returns (representative cochain,
     class coordinates).  Non-closed input and values outside the span fail.
     """
-    free, mons = free_monomials(kb), kb.monomials
+    free, mons, leads = free_monomials(kb), kb.monomials, kb.free_coefficients
     form: dict[int, Fraction] = {}
     for cell, el in c.values.items():
         coords = {i: el.terms[f] for f, i in free.items() if f in el.terms}
         span_part: dict[tuple[int, ...], Fraction] = {}
         for i, x_f in coords.items():
+            x_i = Fraction(x_f, leads[i])  # the multiple of coords[i]
             for j, v in kb.coords[i].items():
-                span_part[mons[j]] = span_part.get(mons[j], 0) + x_f * v
+                span_part[mons[j]] = span_part.get(mons[j], 0) + x_i * v
         if {m: v for m, v in span_part.items() if v} != el.terms:
             raise ValueError(f"cell {cell} carries a value outside the kernel span")
         total = sum(coords.values(), Fraction(0))

@@ -178,6 +178,13 @@ def test_mirror_audit_rejects_a_kernel_not_in_free_variable_form(a2, monkeypatch
         mirror_stability_check(a2, random_dual(a2, seed=55), 2)
 
 
+def test_free_monomials_rejects_a_negated_vector(a2):
+    kb, _ = kernel_of_constrained(a2, random_dual(a2, seed=55), 2)
+    negated = [{j: -v for j, v in kb.coords[0].items()}] + kb.coords[1:]
+    with pytest.raises(CertificationError, match="coefficient -1 at its free monomial"):
+        free_monomials(dataclasses.replace(kb, coords=negated))
+
+
 def test_free_monomials_rejects_vectors_out_of_order(a2):
     kb, _ = kernel_of_constrained(a2, random_dual(a2, seed=55), 2)
     assert list(free_monomials(kb).values()) == list(range(kb.dim))

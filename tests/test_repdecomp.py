@@ -112,7 +112,7 @@ def test_submodule_check_rejects_a_free_monomial_in_another_vector():
     a2, kb = _a2_kernel()
     by_free = sorted(range(kb.dim), key=lambda i: max(kb.coords[i]))
     low, high = by_free[0], by_free[-1]
-    broken = {**kb.coords[high], max(kb.coords[low]): Q(1)}
+    broken = {**kb.coords[high], max(kb.coords[low]): 1}
     coords = [broken if i == high else vec for i, vec in enumerate(kb.coords)]
     with pytest.raises(CertificationError, match="touches the free monomial"):
         is_g_submodule(a2, dataclasses.replace(kb, coords=coords))

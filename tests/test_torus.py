@@ -84,6 +84,21 @@ def test_axis_cocycles_closed_nonexact():
         assert classes.is_cocycle(vec)
         coords = classes.class_coordinates(vec)
         assert any(c != 0 for c in coords)
+        # A non-integral form: the check multiplies its Fractions as given.
+        half = {i: Q(1, 2) for i in vec}
+        assert classes.is_cocycle(half)
+        assert classes.class_coordinates(half) == [c / 2 for c in coords]
+
+
+def test_t3_class_coordinates_of_the_axis_forms():
+    cx = CellComplex.torus(3, 2)
+    for p, scale in ((1, 2), (2, 4)):
+        classes = DeRhamClasses(cx, p)
+        axes = sorted({a for _pos, a in cx.index[p]})
+        assert classes.betti == len(axes) == 3
+        for n, axis in enumerate(axes):
+            vec = {i: Q(1) for (_pos, a), i in cx.index[p].items() if a == axis}
+            assert classes.class_coordinates(vec) == [scale * (m == n) for m in range(3)]
 
 
 def test_differential_components(a1):
@@ -158,6 +173,19 @@ def test_phi_deg_maps_axis_class(a1):
     c = SpencerCochain(1, 2, 3, {i: kb.basis[0].scale(v) for i, v in axis_vec.items()})
     _form, coords = phi_deg(cx, kb, c)
     assert coords == expected
+
+
+def test_phi_deg_reads_a_non_unit_free_coefficient(g2):
+    # Vector 9 of the G2 cartan1 kernel at k=2 has free coefficient 15, so
+    # basis[9] is coords[9] / 15 and dx (x) basis[9] lies over the class of dx.
+    kb, _ = kernel_of_constrained(g2, cartan_dual(g2, 1), 2)
+    assert kb.free_coefficients[9] == kb.coords[9][max(kb.coords[9])] == 15
+    cx = CellComplex.torus(2, 4)
+    dx = {i: Q(1) for (_pos, axes), i in cx.index[1].items() if axes == (0,)}
+    form, coords = phi_deg(cx, kb, SpencerCochain(1, 2, g2.dim, {i: kb.basis[9] for i in dx}))
+    assert form == dx and coords == DeRhamClasses(cx, 1).class_coordinates(dx)
+    triple = SpencerCochain(1, 2, g2.dim, {i: kb.basis[9].scale(Q(3)) for i in dx})
+    assert phi_deg(cx, kb, triple)[1] == [3 * c for c in coords]
 
 
 def test_phi_deg_exact_form_maps_to_zero_class(a1):
