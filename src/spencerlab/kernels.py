@@ -11,13 +11,12 @@ something computed from the algebra, and the report says so.
 
 A kernel is kept in one form, ``KernelBasis.coords``: the free-variable
 basis from ``linalg``, over columns in lexicographic monomial order, each
-vector K_f a primitive integer vector with a positive coefficient c_f at its
-largest column, its free monomial f; the free columns increase along the
-list, and no vector touches another's f.  The K_f / c_f are the reduced
-echelon form of the span, so the form depends on the span alone: two
-kernels are equal exactly when their ``coords`` lists are.  And x lies in
-the span K exactly when x = sum_f (x[f] / c_f) * K_f, since the difference
-vanishes on every f and the only such vector of K is 0.
+vector K_f primitive in integers with a coefficient c_f > 0 at its largest
+column, its free monomial f.  The free columns increase along the list and
+no vector touches another's f; the K_f / c_f are the reduced echelon form
+of the span, so two kernels are equal exactly when their ``coords`` lists
+are.  And x lies in the span K exactly when x = sum_f (x[f] / c_f) * K_f,
+since the difference vanishes on every f and the only such vector is 0.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ def free_monomials(kb: KernelBasis) -> dict[tuple[int, ...], int]:
         if vec[f] <= 0 or gcd(*vec.values()) != 1:
             raise CertificationError(
                 f"kernel vector {i} has coefficient {vec[f]} at its free monomial {mons[f]}"
-                " and is not primitive with a positive one"
+                "; the form needs a primitive vector, positive there"
             )
         for mono in map(mons.__getitem__, vec):
             if mono in free:

@@ -320,7 +320,7 @@ def _columns_mod_p(cols: CSC, p: int, position):
     # it; a fresh object per entry made small dense passes use more memory.
     row_ints = np.empty(int(cols.rows.max(initial=-1)) + 1, object)
     present = np.flatnonzero(np.bincount(cols.rows))
-    row_ints[present] = position[present].tolist()
+    row_ints[present] = list(map(position.__getitem__, present.tolist()))
     for rows, values in cols:
         d: dict[int, int] = {}
         for r, v in zip(row_ints[rows].tolist(), values.tolist()):
@@ -372,14 +372,18 @@ def sparse_rank_modp(cols: CSC, p: int) -> int:
     return Eliminator(vectors, p=p).rank
 
 
-def _row_positions(cols: CSC, nrows: int):
-    """Position of each row, as int64, when rows are sorted by entry count, then index."""
+def _row_positions(cols: CSC, nrows: int) -> memoryview:
+    """Position of each row when rows are sorted by entry count, then index.
+
+    Rows with equal counts keep their index order.  A memoryview over int64:
+    a lookup returns a Python int, and no int object is kept per row.
+    """
     import numpy as np
 
     position = np.bincount(cols.rows, minlength=nrows)
     # Each row's count is overwritten by its place in the stable order by count.
     position[np.argsort(position, kind="stable")] = np.arange(nrows)
-    return position
+    return memoryview(position)
 
 
 def _relations(cols: Iterable, p: int | None) -> tuple[list[dict], int]:
@@ -397,11 +401,11 @@ def _relations(cols: Iterable, p: int | None) -> tuple[list[dict], int]:
     return relations, elim.rank
 
 
-def _primitive(vec: dict) -> dict[int, int]:
-    """vec, with coefficient 1 at its free column, times the lcm of its
-    denominators: its primitive integer multiple, positive at that column."""
+def _clear_denominators(vec: dict) -> None:
+    """Scale vec (coefficient 1 at its free column) in place to its primitive integer multiple."""
     scale = lcm(*[c.denominator for c in vec.values()])
-    return {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
+    for j, c in vec.items():
+        vec[j] = c.numerator * (scale // c.denominator)
 
 
 def sparse_kernel_exact(cols: CSC) -> tuple[list[dict[int, int]], int]:
@@ -410,7 +414,9 @@ def sparse_kernel_exact(cols: CSC) -> tuple[list[dict[int, int]], int]:
     Deterministic; the fallback when a modular lift fails.
     """
     vectors, rank = _relations((zip(r.tolist(), v.tolist()) for r, v in cols), None)
-    return [_primitive(vec) for vec in vectors], rank
+    for vec in vectors:
+        _clear_denominators(vec)
+    return vectors, rank
 
 
 def _rational_reconstruction(u: int, m: int) -> Fraction | None:
@@ -435,20 +441,19 @@ def _reconstruct(relations: list[dict], m: int) -> bool:
 
     In place, so the residues and the fractions are not held side by side.
     """
-    for i, vec in enumerate(relations):
+    for vec in relations:
         for j, u in vec.items():
             vec[j] = _rational_reconstruction(u, m)
             if vec[j] is None:
                 return False
-        relations[i] = _primitive(vec)
+        _clear_denominators(vec)
     return True
 
 
 def verify_kernel_vectors(cols: CSC, vectors: Iterable[dict]) -> bool:
     """Exact check that each combination of columns is the zero vector.
 
-    Coefficients multiply the column slices as given, so integer vectors
-    combine integer columns in integers.
+    Coefficients multiply the column slices as given: integers stay integers.
     """
     for vec in vectors:
         acc: dict = {}

@@ -72,12 +72,11 @@ def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     times the pivot part of K_f.
     """
     free, mons = free_monomials(kb), kb.monomials
-    leads = kb.free_coefficients
-    scale = lcm(*leads)
+    scale = lcm(*kb.free_coefficients)
     # The pivot part of each K_f times D / c_f; () when it has none.
     pivot_parts = [
         tuple((mons[j], v * (scale // c)) for j, v in vec.items() if mons[j] not in free)
-        for vec, c in zip(kb.coords, leads)
+        for vec, c in zip(kb.coords, kb.free_coefficients)
     ]
     # [x_a, x_b] = -[x_b, x_a]: the table is antisymmetric by construction
     # and ``chevalley.prove_jacobi`` checks it, so column b is minus row b.

@@ -284,9 +284,8 @@ def phi_deg(
         coords = {i: el.terms[f] for f, i in free.items() if f in el.terms}
         span_part: dict[tuple[int, ...], Fraction] = {}
         for i, x_f in coords.items():
-            x_i = Fraction(x_f, leads[i])  # the multiple of coords[i]
             for j, v in kb.coords[i].items():
-                span_part[mons[j]] = span_part.get(mons[j], 0) + x_i * v
+                span_part[mons[j]] = span_part.get(mons[j], 0) + Fraction(x_f * v, leads[i])
         if {m: v for m, v in span_part.items() if v} != el.terms:
             raise ValueError(f"cell {cell} carries a value outside the kernel span")
         total = sum(coords.values(), Fraction(0))

@@ -426,7 +426,7 @@ def test_relations_modulo_the_product_reduce_to_each_prime(rows):
     cols = _csc(_to_cols(rows, ncols))
     rels, rank, cert = _relations_modulo(cols, nrows, ncols)
     for p in cert.primes_used:
-        expected, rank_p = linalg._relations(linalg._columns_mod_p(cols, p, np.arange(nrows)), p)
+        expected, rank_p = linalg._relations(linalg._columns_mod_p(cols, p, range(nrows)), p)
         reduced = [{j: v % p for j, v in rel.items() if v % p} for rel in rels]
         assert reduced == expected and rank_p == rank
 
