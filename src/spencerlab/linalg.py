@@ -4,9 +4,12 @@ Every sparse elimination goes through one class, :class:`Eliminator`.  It
 reduces vectors (dicts keyed by any totally ordered hashables) over the
 rationals or modulo M with one fixed pivot rule: vectors are reduced in the
 order given, a vector's lead is its smallest key, and a new pivot row is
-stored normalised with its lead entry removed.  Optionally each pivot also
-records the combination of inserted vectors (by caller tag) that produced
-it, which yields kernels and exact solves.
+stored as found, with its lead entry removed and the lead's inverse kept
+beside it; a later vector that meets the lead subtracts the row times its
+own lead coefficient times that inverse, so no work goes into a row that no
+later vector uses.  Optionally each pivot also records the combination of
+inserted vectors (by caller tag) that produced it, which yields kernels and
+exact solves.
 
 Every matrix has one layout, :class:`CSC`, built by :func:`csc` alone; the
 passes read its column slices.
@@ -17,8 +20,9 @@ the lcm of the reduced entry denominators):
 
 * small matrices are eliminated exactly at once;
 * larger ones get one tracked elimination modulo M = p1*p2*p3, the product
-  of three word-size primes that do not divide D (entries are reduced as
-  ``v % M``; for p not dividing D the rank of the integer columns mod p is
+  of three word-size primes that do not divide D (entries enter as they
+  are when every |v| < M, as int64 entries always are, and as ``v % M``
+  otherwise; for p not dividing D the rank of the integer columns mod p is
   that of the matrix).  That one pass yields the three modular ranks, the
   kernel relations and, below, the lift.
 
@@ -205,11 +209,16 @@ class Eliminator:
     elimination mod each prime factor (see the module docs).  A lead that is
     not a unit raises ``_NonUnitPivot`` from :meth:`insert`.
 
-    ``pivots`` maps each lead key to its normalised row without the lead
-    entry and, with ``track=True``, the combination of inserted vectors, by
-    tag, that equals the full pivot row.  Vectors given to the constructor
-    are inserted under their positions as tags.  The lead of a vector is its
-    smallest key.
+    ``pivots`` maps each lead key to a triple: the pivot row without its
+    lead entry, as reduced and not rescaled; with ``track=True``, the
+    combination of inserted vectors, by tag, that equals the full pivot row
+    (else None); and the inverse of the lead entry (mod p, or a Fraction).
+    A vector with coefficient c at that lead subtracts (c * inverse) times
+    the row and the combination: after reduction mod p the same residues,
+    and over Q the same Fractions, as subtracting c times a row normalised
+    at insertion, so every pivot, relation and remainder is unchanged by
+    the deferral.  Vectors given to the constructor are inserted under their
+    positions as tags.  The lead of a vector is its smallest key.
     """
 
     def __init__(self, vectors: Iterable = (), p: int | None = None, track: bool = False):
@@ -223,11 +232,6 @@ class Eliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _scaled(self, vec: dict, c) -> dict:
-        if self.p is None:
-            return {r: v * c for r, v in vec.items()}
-        return {r: v * c % self.p for r, v in vec.items()}
-
     def _eliminate(self, cur: dict, hist: dict | None):
         """Reduce cur in place, mirroring every step on hist.
 
@@ -239,8 +243,10 @@ class Eliminator:
             piv = pivots.get(lead)
             if piv is None:
                 return lead
-            factor = cur.pop(lead)
-            row, comb = piv
+            row, comb, inv = piv
+            factor = cur.pop(lead) * inv
+            if p is not None:
+                factor %= p
             _sub_scaled(cur, factor, row, p)
             if hist is not None:
                 _sub_scaled(hist, factor, comb, p)
@@ -266,8 +272,7 @@ class Eliminator:
             inv = pow(factor, -1, self.p)
         else:
             raise _NonUnitPivot(f"pivot at {lead!r} is not a unit modulo {self.p}")
-        comb = None if hist is None else self._scaled(hist, inv)
-        self.pivots[lead] = (self._scaled(cur, inv), comb)
+        self.pivots[lead] = (cur, hist, inv)
         return None
 
     def reduce(self, vec) -> dict:
@@ -285,7 +290,9 @@ class Eliminator:
         neg: dict = {}
         if self._eliminate(cur, neg) is not None:
             return None
-        return self._scaled(neg, -1)
+        if self.p is None:
+            return {t: -c for t, c in neg.items()}
+        return {t: -c % self.p for t, c in neg.items()}
 
 
 def rref_dense(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -321,7 +328,13 @@ def _columns_mod_p(cols: CSC, p: int, position):
     row_ints = np.empty(int(cols.rows.max(initial=-1)) + 1, object)
     present = np.flatnonzero(np.bincount(cols.rows))
     row_ints[present] = list(map(position.__getitem__, present.tolist()))
+    # A nonzero entry below p in absolute value stays nonzero mod p, and the
+    # pass reduces every entry it touches, so such columns enter as they are.
+    small = cols.max_abs() < p
     for rows, values in cols:
+        if small:
+            yield dict(zip(row_ints[rows].tolist(), values.tolist()))
+            continue
         d: dict[int, int] = {}
         for r, v in zip(row_ints[rows].tolist(), values.tolist()):
             val = v % p

@@ -56,7 +56,8 @@ class LatticeBundle:
     """Cubical torus lattice with a gauge field on directed edges.
 
     ``tails[e]`` and ``heads[e]`` are the end nodes of edge e, in the layout
-    of the module docstring.
+    of the module docstring; ``in_edges[v]`` lists the d edges with head v,
+    in increasing order.
     """
 
     d: int
@@ -65,6 +66,7 @@ class LatticeBundle:
     omega: np.ndarray = field(repr=False, default=None)  # (n_edges, dim)
     tails: np.ndarray = field(init=False, repr=False)
     heads: np.ndarray = field(init=False, repr=False)
+    in_edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = np.arange(self.n**self.d).reshape((self.n,) * self.d)
@@ -72,6 +74,8 @@ class LatticeBundle:
         self.heads = np.stack(
             [np.roll(grid, -1, axis=a).ravel() for a in range(self.d)], axis=1
         ).ravel()
+        # Every node is the head of exactly one edge per axis.
+        self.in_edges = np.argsort(self.heads, kind="stable").reshape(self.n_nodes, self.d)
         if self.omega is None:
             self.omega = np.zeros((self.n_edges, self.alg.dim))
 
@@ -116,7 +120,7 @@ class Weights:
     bound_c: float = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class EnergyBreakdown:
     main: float
     pen1: float
@@ -141,11 +145,17 @@ def energy(
     config: FieldConfig,
     weights: Weights,
     mats: np.ndarray | None = None,
+    res: np.ndarray | None = None,
 ) -> EnergyBreakdown:
-    """Main residual energy plus the two active penalties."""
+    """Main residual energy plus the two active penalties.
+
+    ``mats`` and ``res``, if given, are the bundle's edge matrices and the
+    config's edge residuals under them.
+    """
     if mats is None:
         mats = bundle.edge_matrices()
-    res = _edge_residuals(bundle, config, mats)
+    if res is None:
+        res = _edge_residuals(bundle, config, mats)
     main = float(np.sum(res * res))
     pairings = np.einsum("eb,eb->e", config.lam[bundle.tails], bundle.omega)
     pen1 = float(np.sum(pairings * pairings))
@@ -160,23 +170,34 @@ def gradient(
     config: FieldConfig,
     weights: Weights,
     mats: np.ndarray | None = None,
+    res: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact analytic gradient with respect to every lambda coefficient.
 
+    ``mats`` and ``res`` are as for :func:`energy`.  Each node sums its edge
+    terms in increasing edge order, head terms first, then the tail terms
+    and the pairing terms; the golden solver trace depends on that order.
     The sup-norm barrier uses a subgradient convention: zero while the
     bound is inactive, and the one-sided derivative 2*lambda at the first
     maximising (node, coordinate) when active.
     """
     if mats is None:
         mats = bundle.edge_matrices()
-    res = _edge_residuals(bundle, config, mats)
-    tails, heads = bundle.tails, bundle.heads
+    if res is None:
+        res = _edge_residuals(bundle, config, mats)
+    d, dim = bundle.d, config.lam.shape[1]
     grad = np.zeros_like(config.lam)
-    np.add.at(grad, heads, 2.0 * res)
-    back = -2.0 * res + 2.0 * np.einsum("ebc,eb->ec", mats, res)
-    np.add.at(grad, tails, back)
-    pairings = np.einsum("eb,eb->e", config.lam[tails], bundle.omega)
-    np.add.at(grad, tails, weights.alpha1 * 2.0 * pairings[:, None] * bundle.omega)
+    head = 2.0 * res
+    for j in range(d):
+        grad += head[bundle.in_edges[:, j]]
+    # Edge v*d + a has tail v, so a reshape groups each node's out-edges.
+    back = (-2.0 * res + 2.0 * np.einsum("ebc,eb->ec", mats, res)).reshape(-1, d, dim)
+    for a in range(d):
+        grad += back[:, a]
+    pairings = np.einsum("eb,eb->e", config.lam[bundle.tails], bundle.omega)
+    pair = (weights.alpha1 * 2.0 * pairings[:, None] * bundle.omega).reshape(-1, d, dim)
+    for a in range(d):
+        grad += pair[:, a]
     sq = config.lam * config.lam
     sup2 = float(np.max(sq)) if sq.size else 0.0
     if sup2 > weights.bound_c:
@@ -196,7 +217,7 @@ class SolverConfig:
     min_step: float = 1e-18
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     iteration: int
     breakdown: EnergyBreakdown
@@ -220,8 +241,9 @@ def minimize(
     mats = bundle.edge_matrices()
     config = config0.copy()
     step = solver.step
-    eb = energy(bundle, config, weights, mats)
-    g = gradient(bundle, config, weights, mats)
+    res = _edge_residuals(bundle, config, mats)
+    eb = energy(bundle, config, weights, mats, res)
+    g = gradient(bundle, config, weights, mats, res)
     gnorm = float(np.linalg.norm(g))
     if not (np.isfinite(eb.total) and np.isfinite(gnorm)):
         raise SolverDivergence(
@@ -234,7 +256,8 @@ def minimize(
         step = min(step * 2.0, 1e6)
         while True:
             cand = FieldConfig(config.lam - step * g)
-            eb_new = energy(bundle, cand, weights, mats)
+            res = _edge_residuals(bundle, cand, mats)
+            eb_new = energy(bundle, cand, weights, mats, res)
             if eb_new.total <= eb.total - solver.sufficient_decrease * step * gnorm * gnorm:
                 break
             step *= solver.backtrack_factor
@@ -246,7 +269,7 @@ def minimize(
                 )
         config = cand
         eb = eb_new
-        g = gradient(bundle, config, weights, mats)
+        g = gradient(bundle, config, weights, mats, res)
         gnorm = float(np.linalg.norm(g))
         trace.append(TraceRow(it, eb, gnorm, step))
     return config, trace

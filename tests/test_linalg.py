@@ -399,6 +399,48 @@ def test_row_positions_put_the_sparsest_row_first():
     assert list(linalg._row_positions(_csc([[], []]), 0)) == []
 
 
+def test_columns_enter_unreduced_only_below_the_modulus():
+    m = PRIME_POOL[0] * PRIME_POOL[1] * PRIME_POOL[2]
+    p = PRIME_POOL[0]
+    small = _csc([[(0, -3), (1, 5)]])
+    assert list(linalg._columns_mod_p(small, p, range(2))) == [{0: -3, 1: 5}]
+    # An entry at or above the modulus is reduced, and dropped when it vanishes.
+    big = _csc([[(0, m), (1, m + 1)], [(1, 5)]])
+    assert big.values.dtype == object
+    assert list(linalg._columns_mod_p(big, m, range(2))) == [{1: 1}, {1: 5}]
+    word = _csc([[(0, p), (1, -3)], [(1, p + 2)]])
+    assert word.values.dtype == np.int64
+    assert list(linalg._columns_mod_p(word, p, range(2))) == [{1: p - 3}, {1: 2}]
+
+
+def test_a_later_column_reduces_against_an_unnormalised_pivot():
+    # Column 1 leaves the pivot 3 at row 1 with the combination 1*c1 - 2*c0;
+    # column 2 subtracts 1/3 of it and vanishes: c2 - c1/3 + 2*c0/3 = 0.
+    cols = [{0: 1, 1: 1}, {0: 2, 1: 5, 2: 3}, {1: 1, 2: 1}]
+    elim = Eliminator(track=True)
+    assert elim.insert(cols[0], 0) is None and elim.insert(cols[1], 1) is None
+    assert elim.pivots[1] == ({2: 3}, {1: 1, 0: -2}, Q(1, 3))
+    assert elim.insert(cols[2], 2) == {2: 1, 1: Q(-1, 3), 0: Q(2, 3)}
+
+    m = PRIME_POOL[0] * PRIME_POOL[1] * PRIME_POOL[2]
+    inv = pow(3, -1, m)
+    elim = Eliminator(p=m, track=True)
+    assert elim.insert(cols[0], 0) is None and elim.insert(cols[1], 1) is None
+    assert elim.pivots[1] == ({2: 3}, {1: 1, 0: m - 2}, inv)
+    relation = elim.insert(cols[2], 2)
+    assert relation == {2: 1, 1: -inv % m, 0: 2 * inv % m}
+    for p in PRIME_POOL[:3]:
+        assert {j: v % p for j, v in relation.items()} == {
+            2: 1, 1: -pow(3, -1, p) % p, 0: 2 * pow(3, -1, p) % p}
+
+    matrix = _csc([sorted(col.items()) for col in cols])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "DENSE_ENTRY_LIMIT", 0)
+        vectors, cert = kernel_with_certificate(matrix, 3, 3)
+    assert vectors == [{2: 3, 1: -1, 0: 2}]
+    assert cert.method == "multi-modular+exact" and cert.rank == 2
+
+
 def _relations_modulo(cols, nrows, ncols):
     """The relations and rank of the certified pass, with the modulus it ran under."""
     seen = []

@@ -118,6 +118,34 @@ def test_gradient_matches_finite_differences(a1):
         assert abs(fd - g[node, coord]) <= 1e-6 * max(1.0, abs(g[node, coord]))
 
 
+def add_at_gradient(bundle, config, w):
+    """The gradient as scattered by ``np.add.at`` in edge order, kept as the
+    reference for the summation order of ``gradient``."""
+    mats = bundle.edge_matrices()
+    lam_t = config.lam[bundle.tails]
+    res = config.lam[bundle.heads] - lam_t + np.einsum("ebc,ec->eb", mats, lam_t)
+    grad = np.zeros_like(config.lam)
+    np.add.at(grad, bundle.heads, 2.0 * res)
+    np.add.at(grad, bundle.tails, -2.0 * res + 2.0 * np.einsum("ebc,eb->ec", mats, res))
+    pairings = np.einsum("eb,eb->e", lam_t, bundle.omega)
+    np.add.at(grad, bundle.tails, w.alpha1 * 2.0 * pairings[:, None] * bundle.omega)
+    sq = config.lam * config.lam
+    if float(np.max(sq)) > w.bound_c:
+        node, coord = divmod(int(np.argmax(sq)), config.lam.shape[1])
+        grad[node, coord] += w.alpha3 * 2.0 * config.lam[node, coord]
+    return grad
+
+
+@pytest.mark.parametrize("bound_c", [0.01, 100.0])
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 2), (2, 3), (3, 2)])
+def test_gradient_sums_in_the_order_of_the_scatter(g2, d, n, bound_c):
+    # Bit for bit, not to a tolerance: the golden solver trace depends on it.
+    bundle, config = random_bundle_and_config(g2, d, n, seed=5)
+    w = Weights(alpha1=0.7, alpha3=1.3, bound_c=bound_c)
+    assert (float(np.max(config.lam ** 2)) > bound_c) == (bound_c < 1.0)
+    assert np.array_equal(gradient(bundle, config, w), add_at_gradient(bundle, config, w))
+
+
 def test_gradient_pen1_hand_expansion(a1):
     # single-edge quadratic: d/dlam <lam, omega>^2 = 2 <lam, omega> omega
     bundle = LatticeBundle(1, 2, a1)
