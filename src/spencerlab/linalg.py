@@ -11,8 +11,13 @@ later vector uses.  Optionally each pivot also records the combination of
 inserted vectors (by caller tag) that produced it, which yields kernels and
 exact solves.
 
-Every matrix has one layout, :class:`CSC`, built by :func:`csc` alone; the
-passes read its column slices.
+Every matrix has one layout, :class:`CSC`, built by :func:`csc` alone.  The
+certified pass (:meth:`Eliminator.insert_columns`) takes it whole: numpy
+finds every column's lead and lead value first, and a column whose lead is
+not yet a pivot becomes one unreduced, so it is stored as its column index
+and read into a dict only when a later column meets its lead.  Most pivots
+of a large operator are never met again (7657 of the 8776 of the E7 k=2
+flagship), and their columns are never read.
 
 The kernel pipeline takes a rational matrix as integer columns plus one
 positive denominator D (the matrix is the columns divided by D, and D is
@@ -207,7 +212,8 @@ class Eliminator:
     The modulus p is a prime, or a product of distinct primes: while every
     new pivot's lead is a unit, the elimination mod the product is the
     elimination mod each prime factor (see the module docs).  A lead that is
-    not a unit raises ``_NonUnitPivot`` from :meth:`insert`.
+    not a unit raises ``_NonUnitPivot`` from :meth:`insert` and
+    :meth:`insert_columns`.
 
     ``pivots`` maps each lead key to a triple: the pivot row without its
     lead entry, as reduced and not rescaled; with ``track=True``, the
@@ -217,20 +223,36 @@ class Eliminator:
     the row and the combination: after reduction mod p the same residues,
     and over Q the same Fractions, as subtracting c times a row normalised
     at insertion, so every pivot, relation and remainder is unchanged by
-    the deferral.  Vectors given to the constructor are inserted under their
-    positions as tags.  The lead of a vector is its smallest key.
+    the deferral.  :meth:`insert_columns` may instead map a lead to the
+    index j of a column that became a pivot unreduced; the first vector
+    that meets that lead reads column j into the triple (row, {j: 1},
+    inverse) that inserting it would have stored.  Vectors given to the
+    constructor are inserted under their positions as tags.  The lead of a
+    vector is its smallest key.
     """
 
     def __init__(self, vectors: Iterable = (), p: int | None = None, track: bool = False):
         self.p = p
         self.track = track
         self.pivots: dict = {}
+        self._read = None
         for i, vec in enumerate(vectors):
             self.insert(vec, i)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def _check_unit(self, lead, value) -> None:
+        """Raise ``_NonUnitPivot`` if a new pivot's lead value is not a unit."""
+        if self.p is not None and gcd(value, self.p) != 1:
+            raise _NonUnitPivot(f"pivot at {lead!r} is not a unit modulo {self.p}")
+
+    def _inverse(self, value):
+        return 1 / Fraction(value) if self.p is None else pow(value, -1, self.p)
+
+    def _history(self, tag) -> dict | None:
+        return {tag: Fraction(1) if self.p is None else 1} if self.track else None
 
     def _eliminate(self, cur: dict, hist: dict | None):
         """Reduce cur in place, mirroring every step on hist.
@@ -243,6 +265,9 @@ class Eliminator:
             piv = pivots.get(lead)
             if piv is None:
                 return lead
+            if type(piv) is int:
+                row = self._read(piv)
+                piv = pivots[lead] = (row, self._history(piv), self._inverse(row.pop(lead)))
             row, comb, inv = piv
             factor = cur.pop(lead) * inv
             if p is not None:
@@ -250,6 +275,16 @@ class Eliminator:
             _sub_scaled(cur, factor, row, p)
             if hist is not None:
                 _sub_scaled(hist, factor, comb, p)
+        return None
+
+    def _insert(self, cur: dict, tag) -> dict | None:
+        hist = self._history(tag)
+        lead = self._eliminate(cur, hist)
+        if lead is None:
+            return {} if hist is None else hist
+        value = cur.pop(lead)
+        self._check_unit(lead, value)
+        self.pivots[lead] = (cur, hist, self._inverse(value))
         return None
 
     def insert(self, vec, tag=None) -> dict | None:
@@ -260,20 +295,52 @@ class Eliminator:
         inserted vectors that sum to zero (empty when not tracking).  Raises
         ``_NonUnitPivot`` if the span would grow by a lead that is not a unit.
         """
-        cur = dict(vec)
-        hist = {tag: Fraction(1) if self.p is None else 1} if self.track else None
-        lead = self._eliminate(cur, hist)
-        if lead is None:
-            return {} if hist is None else hist
-        factor = cur.pop(lead)
-        if self.p is None:
-            inv = 1 / Fraction(factor)
-        elif gcd(factor, self.p) == 1:
-            inv = pow(factor, -1, self.p)
-        else:
-            raise _NonUnitPivot(f"pivot at {lead!r} is not a unit modulo {self.p}")
-        self.pivots[lead] = (cur, hist, inv)
-        return None
+        return self._insert(dict(vec), tag)
+
+    def insert_columns(self, cols: CSC, position=None) -> list[dict]:
+        """Insert column j of cols under tag j, in order; the relations found.
+
+        Row r is keyed by ``position[r]`` (by r when None).  Modulo p, the
+        columns enter as :func:`_residues` gives them.  Each column's lead
+        and lead value are found at once; a column whose lead has no pivot
+        yet becomes one unreduced, after the same unit check as
+        :meth:`insert`, and is stored as its index, so only a column that
+        meets a pivot, or a pivot a later column meets, is read into a dict.
+        """
+        import numpy as np
+
+        if self.p is not None:
+            cols = _residues(cols, self.p)
+        keys = cols.rows if position is None else np.asarray(position)[cols.rows]
+        bounds = cols.indptr.tolist()
+        counts = np.diff(cols.indptr)
+        nonempty = np.flatnonzero(counts)
+        lead = np.full(len(counts), -1, np.int64)
+        value = np.zeros(len(counts), cols.values.dtype)
+        if nonempty.size:
+            lead[nonempty] = np.minimum.reduceat(keys, cols.indptr[nonempty])
+            value[nonempty] = cols.values[keys == np.repeat(lead[nonempty], counts[nonempty])]
+        # One key object per row read, shared by every dict that holds it: a
+        # fresh object per entry made small dense passes use more memory.
+        interned: dict[int, int] = {}
+
+        def read(j: int) -> dict:
+            at = keys[bounds[j] : bounds[j + 1]].tolist()
+            return dict(zip(map(interned.setdefault, at, at),
+                            cols.values[bounds[j] : bounds[j + 1]].tolist()))
+
+        self._read = read
+        pivots = self.pivots
+        relations = []
+        for j, (key, val) in enumerate(zip(lead.tolist(), value.tolist())):
+            if key >= 0 and key not in pivots:
+                self._check_unit(key, val)
+                pivots[key] = j
+                continue
+            relation = self._insert(read(j), j)
+            if relation is not None:
+                relations.append(relation)
+        return relations
 
     def reduce(self, vec) -> dict:
         """Remainder of vec after reduction; empty exactly when vec is in the span."""
@@ -320,27 +387,16 @@ def rref_dense(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
-def _columns_mod_p(cols: CSC, p: int, position):
-    import numpy as np
+def _residues(cols: CSC, p: int) -> CSC:
+    """cols modulo p, zero residues dropped; cols itself when every |entry| < p.
 
-    # One int object per row, shared by every column and pivot row that holds
-    # it; a fresh object per entry made small dense passes use more memory.
-    row_ints = np.empty(int(cols.rows.max(initial=-1)) + 1, object)
-    present = np.flatnonzero(np.bincount(cols.rows))
-    row_ints[present] = list(map(position.__getitem__, present.tolist()))
-    # A nonzero entry below p in absolute value stays nonzero mod p, and the
-    # pass reduces every entry it touches, so such columns enter as they are.
-    small = cols.max_abs() < p
-    for rows, values in cols:
-        if small:
-            yield dict(zip(row_ints[rows].tolist(), values.tolist()))
-            continue
-        d: dict[int, int] = {}
-        for r, v in zip(row_ints[rows].tolist(), values.tolist()):
-            val = v % p
-            if val:
-                d[r] = val
-        yield d
+    A nonzero entry below p in absolute value stays nonzero mod p, and the
+    pass reduces every entry it touches, so such columns enter as they are.
+    """
+    if cols.max_abs() < p:
+        return cols
+    col, row, value = cols.entries()
+    return csc(len(cols.indptr) - 1, [(col, row, value % p)])
 
 
 def dense_rank_modp(cols: CSC, nrows: int, ncols: int, p: int) -> int:
@@ -399,18 +455,15 @@ def _row_positions(cols: CSC, nrows: int) -> memoryview:
     return memoryview(position)
 
 
-def _relations(cols: Iterable, p: int | None) -> tuple[list[dict], int]:
+def _relations(cols: CSC, p: int | None, position=None) -> tuple[list[dict], int]:
     """Relations of the columns that reduce to zero, and the rank.
 
-    Column j is inserted under tag j into a tracked elimination over Q or Z/p;
-    its relation is supported on j (coefficient 1) and earlier pivot columns.
+    Column j is inserted under tag j into a tracked elimination over Q or Z/p
+    (:meth:`Eliminator.insert_columns`, rows keyed by ``position``); its
+    relation is supported on j (coefficient 1) and earlier pivot columns.
     """
     elim = Eliminator(p=p, track=True)
-    relations = []
-    for j, col in enumerate(cols):
-        relation = elim.insert(col, j)
-        if relation is not None:
-            relations.append(relation)
+    relations = elim.insert_columns(cols, position)
     return relations, elim.rank
 
 
@@ -426,7 +479,7 @@ def sparse_kernel_exact(cols: CSC) -> tuple[list[dict[int, int]], int]:
 
     Deterministic; the fallback when a modular lift fails.
     """
-    vectors, rank = _relations((zip(r.tolist(), v.tolist()) for r, v in cols), None)
+    vectors, rank = _relations(cols, None)
     for vec in vectors:
         _clear_denominators(vec)
     return vectors, rank
@@ -504,7 +557,7 @@ def kernel_with_certificate(
             raise RankDisagreement("prime pool exhausted")
         modulus = primes[0] * primes[1] * primes[2]
         try:
-            vectors, rank = _relations(_columns_mod_p(cols, modulus, position), modulus)
+            vectors, rank = _relations(cols, modulus, position)
             break
         except _NonUnitPivot:
             continue

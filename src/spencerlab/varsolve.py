@@ -134,10 +134,13 @@ class EnergyBreakdown:
         return asdict(self)
 
 
-def _edge_residuals(bundle: LatticeBundle, config: FieldConfig, mats: np.ndarray) -> np.ndarray:
+def _edge_terms(bundle: LatticeBundle, config: FieldConfig, mats: np.ndarray):
+    """The edge residuals under ``mats`` and each edge's pairing of its
+    tail's lambda with omega, from one gather of the tails."""
     lam_t = config.lam[bundle.tails]
     lam_h = config.lam[bundle.heads]
-    return lam_h - lam_t + np.einsum("ebc,ec->eb", mats, lam_t)
+    res = lam_h - lam_t + np.einsum("ebc,ec->eb", mats, lam_t)
+    return res, np.einsum("eb,eb->e", lam_t, bundle.omega)
 
 
 def energy(
@@ -146,18 +149,18 @@ def energy(
     weights: Weights,
     mats: np.ndarray | None = None,
     res: np.ndarray | None = None,
+    pairings: np.ndarray | None = None,
 ) -> EnergyBreakdown:
     """Main residual energy plus the two active penalties.
 
-    ``mats`` and ``res``, if given, are the bundle's edge matrices and the
-    config's edge residuals under them.
+    ``mats``, ``res`` and ``pairings``, if given, are the bundle's edge
+    matrices, the config's edge residuals under them and its edge pairings.
     """
     if mats is None:
         mats = bundle.edge_matrices()
-    if res is None:
-        res = _edge_residuals(bundle, config, mats)
+    if res is None or pairings is None:
+        res, pairings = _edge_terms(bundle, config, mats)
     main = float(np.sum(res * res))
-    pairings = np.einsum("eb,eb->e", config.lam[bundle.tails], bundle.omega)
     pen1 = float(np.sum(pairings * pairings))
     sup2 = float(np.max(config.lam * config.lam)) if config.lam.size else 0.0
     pen3 = max(0.0, sup2 - weights.bound_c)
@@ -171,20 +174,22 @@ def gradient(
     weights: Weights,
     mats: np.ndarray | None = None,
     res: np.ndarray | None = None,
+    pairings: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact analytic gradient with respect to every lambda coefficient.
 
-    ``mats`` and ``res`` are as for :func:`energy`.  Each node sums its edge
-    terms in increasing edge order, head terms first, then the tail terms
-    and the pairing terms; the golden solver trace depends on that order.
+    ``mats``, ``res`` and ``pairings`` are as for :func:`energy`.  Each
+    node sums its edge terms in increasing edge order, head terms first,
+    then the tail terms and the pairing terms; the golden solver trace
+    depends on that order.
     The sup-norm barrier uses a subgradient convention: zero while the
     bound is inactive, and the one-sided derivative 2*lambda at the first
     maximising (node, coordinate) when active.
     """
     if mats is None:
         mats = bundle.edge_matrices()
-    if res is None:
-        res = _edge_residuals(bundle, config, mats)
+    if res is None or pairings is None:
+        res, pairings = _edge_terms(bundle, config, mats)
     d, dim = bundle.d, config.lam.shape[1]
     grad = np.zeros_like(config.lam)
     head = 2.0 * res
@@ -194,7 +199,6 @@ def gradient(
     back = (-2.0 * res + 2.0 * np.einsum("ebc,eb->ec", mats, res)).reshape(-1, d, dim)
     for a in range(d):
         grad += back[:, a]
-    pairings = np.einsum("eb,eb->e", config.lam[bundle.tails], bundle.omega)
     pair = (weights.alpha1 * 2.0 * pairings[:, None] * bundle.omega).reshape(-1, d, dim)
     for a in range(d):
         grad += pair[:, a]
@@ -241,9 +245,9 @@ def minimize(
     mats = bundle.edge_matrices()
     config = config0.copy()
     step = solver.step
-    res = _edge_residuals(bundle, config, mats)
-    eb = energy(bundle, config, weights, mats, res)
-    g = gradient(bundle, config, weights, mats, res)
+    res, pairings = _edge_terms(bundle, config, mats)
+    eb = energy(bundle, config, weights, mats, res, pairings)
+    g = gradient(bundle, config, weights, mats, res, pairings)
     gnorm = float(np.linalg.norm(g))
     if not (np.isfinite(eb.total) and np.isfinite(gnorm)):
         raise SolverDivergence(
@@ -256,8 +260,8 @@ def minimize(
         step = min(step * 2.0, 1e6)
         while True:
             cand = FieldConfig(config.lam - step * g)
-            res = _edge_residuals(bundle, cand, mats)
-            eb_new = energy(bundle, cand, weights, mats, res)
+            res, pairings = _edge_terms(bundle, cand, mats)
+            eb_new = energy(bundle, cand, weights, mats, res, pairings)
             if eb_new.total <= eb.total - solver.sufficient_decrease * step * gnorm * gnorm:
                 break
             step *= solver.backtrack_factor
@@ -269,7 +273,7 @@ def minimize(
                 )
         config = cand
         eb = eb_new
-        g = gradient(bundle, config, weights, mats, res)
+        g = gradient(bundle, config, weights, mats, res, pairings)
         gnorm = float(np.linalg.norm(g))
         trace.append(TraceRow(it, eb, gnorm, step))
     return config, trace
@@ -279,13 +283,13 @@ def cartan_residual(bundle: LatticeBundle, config: FieldConfig) -> float:
     """Square root of the main energy term; zero iff the discrete
     covariant-constancy equation holds on every edge."""
     mats = bundle.edge_matrices()
-    res = _edge_residuals(bundle, config, mats)
+    res, _ = _edge_terms(bundle, config, mats)
     return float(np.sqrt(np.sum(res * res)))
 
 
 def edge_residual_norms(bundle: LatticeBundle, config: FieldConfig) -> np.ndarray:
     mats = bundle.edge_matrices()
-    res = _edge_residuals(bundle, config, mats)
+    res, _ = _edge_terms(bundle, config, mats)
     return np.sqrt(np.sum(res * res, axis=1))
 
 

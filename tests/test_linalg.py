@@ -399,18 +399,25 @@ def test_row_positions_put_the_sparsest_row_first():
     assert list(linalg._row_positions(_csc([[], []]), 0)) == []
 
 
+def _dict_columns(cols):
+    return [dict(zip(rows.tolist(), values.tolist())) for rows, values in cols]
+
+
 def test_columns_enter_unreduced_only_below_the_modulus():
     m = PRIME_POOL[0] * PRIME_POOL[1] * PRIME_POOL[2]
     p = PRIME_POOL[0]
     small = _csc([[(0, -3), (1, 5)]])
-    assert list(linalg._columns_mod_p(small, p, range(2))) == [{0: -3, 1: 5}]
+    assert linalg._residues(small, p) is small
+    assert _dict_columns(linalg._residues(small, p)) == [{0: -3, 1: 5}]
     # An entry at or above the modulus is reduced, and dropped when it vanishes.
     big = _csc([[(0, m), (1, m + 1)], [(1, 5)]])
     assert big.values.dtype == object
-    assert list(linalg._columns_mod_p(big, m, range(2))) == [{1: 1}, {1: 5}]
+    assert _dict_columns(linalg._residues(big, m)) == [{1: 1}, {1: 5}]
     word = _csc([[(0, p), (1, -3)], [(1, p + 2)]])
     assert word.values.dtype == np.int64
-    assert list(linalg._columns_mod_p(word, p, range(2))) == [{1: p - 3}, {1: 2}]
+    assert _dict_columns(linalg._residues(word, p)) == [{1: p - 3}, {1: 2}]
+    at_modulus = _csc([[(0, -3), (1, p)]])
+    assert _dict_columns(linalg._residues(at_modulus, p)) == [{0: p - 3}]
 
 
 def test_a_later_column_reduces_against_an_unnormalised_pivot():
@@ -446,8 +453,8 @@ def _relations_modulo(cols, nrows, ncols):
     seen = []
     relations = linalg._relations
 
-    def recorded(cols, p):
-        rels, rank = relations(cols, p)
+    def recorded(cols, p, *rest):
+        rels, rank = relations(cols, p, *rest)
         if p is not None:
             seen.append(([dict(rel) for rel in rels], rank, p))
         return rels, rank
@@ -468,7 +475,7 @@ def test_relations_modulo_the_product_reduce_to_each_prime(rows):
     cols = _csc(_to_cols(rows, ncols))
     rels, rank, cert = _relations_modulo(cols, nrows, ncols)
     for p in cert.primes_used:
-        expected, rank_p = linalg._relations(linalg._columns_mod_p(cols, p, range(nrows)), p)
+        expected, rank_p = linalg._relations(cols, p)
         reduced = [{j: v % p for j, v in rel.items() if v % p} for rel in rels]
         assert reduced == expected and rank_p == rank
 
@@ -482,9 +489,9 @@ def test_kernel_too_large_to_lift_costs_one_tracked_pass(monkeypatch):
     passes = []
     relations = linalg._relations
 
-    def counted(cols, p):
+    def counted(cols, p, *rest):
         passes.append(p)
-        return relations(cols, p)
+        return relations(cols, p, *rest)
 
     monkeypatch.setattr(linalg, "_relations", counted)
     vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 1, 2)
@@ -504,3 +511,85 @@ def test_failed_lift_falls_back_to_the_fraction_kernel(monkeypatch):
     assert vectors == expected and len(vectors) == 3
     assert cert.rank == rank == 3 and cert.modular_ranks == [3, 3, 3]
     assert cert.method == "multi-modular+exact" and cert.exact_confirmed
+
+
+_M = PRIME_POOL[0] * PRIME_POOL[1] * PRIME_POOL[2]
+# Zeros make zero columns and shared leads likely; M, M + 1 and 2M make
+# object columns that are reduced before the pass, p0 a lead that is no unit.
+_pass_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, PRIME_POOL[0], _M, _M + 1, 2 * _M])
+_pass_matrices = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(st.lists(_pass_entries, min_size=ncols, max_size=ncols),
+                           min_size=1, max_size=6)
+)
+
+
+def _per_vector_pass(cols, p, position):
+    """The reference pass: one dict per column, keyed by position and reduced
+    mod p only when some entry is p or more in absolute value, through
+    ``Eliminator.insert``; (relations or None on a non-unit lead, rank)."""
+    elim = Eliminator(p=p, track=True)
+    reduce = p is not None and cols.max_abs() >= p
+    relations = []
+    try:
+        for j, (rows, values) in enumerate(cols):
+            col = {position[r]: v % p if reduce else v for r, v in zip(rows.tolist(), values.tolist())}
+            relation = elim.insert({key: v for key, v in col.items() if v}, j)
+            if relation is not None:
+                relations.append(relation)
+    except linalg._NonUnitPivot:
+        return None, elim.rank
+    return relations, elim.rank
+
+
+def _column_pass(cols, p, position):
+    elim = Eliminator(p=p, track=True)
+    try:
+        return elim.insert_columns(cols, position), elim.rank
+    except linalg._NonUnitPivot:
+        return None, elim.rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=_pass_matrices)
+@example(rows=[[0, 1, 1, 0], [0, _M, _M + 1, 2], [0, 2 * _M, 1, -1]])
+def test_column_pass_matches_the_per_vector_reference(rows):
+    nrows, ncols = len(rows), len(rows[0])
+    cols = _csc(_to_cols(rows, ncols))
+    for position in (linalg._row_positions(cols, nrows), range(nrows)):
+        assert _column_pass(cols, _M, position) == _per_vector_pass(cols, _M, position)
+    relations, rank = _per_vector_pass(cols, None, range(nrows))
+    assert linalg._relations(cols, None) == (relations, rank)
+
+
+@pytest.mark.parametrize("p", [None, _M])
+def test_a_stored_pivot_is_read_when_a_later_column_first_meets_its_lead(p):
+    # Columns 0 and 1 become pivots at rows 0 and 1 and are stored as their
+    # indices.  Column 2 meets row 0, reads column 0 and leaves a new pivot
+    # at row 2; column 3 = c0 + c2 reduces to zero.  No column meets row 1,
+    # so column 1 is never read.
+    cols = _csc([[(0, 2), (3, 1)], [(1, 3), (2, 1)], [(0, 1), (2, 4)], [(0, 3), (2, 4), (3, 1)]])
+    elim = Eliminator(p=p, track=True)
+    relations = elim.insert_columns(cols)
+    assert (relations, elim.rank) == _per_vector_pass(cols, p, range(4))
+    minus_one = -1 if p is None else p - 1
+    assert relations == [{3: 1, 0: minus_one, 2: minus_one}]
+    assert elim.pivots[1] == 1
+    assert elim.pivots[0] == ({3: 1}, {0: 1}, Q(1, 2) if p is None else pow(2, -1, p))
+    assert type(elim.pivots[2]) is tuple
+
+
+@pytest.mark.parametrize("cols", [
+    # The lead of column 1 meets no pivot: refused before it is stored.
+    [[(0, 1)], [(1, PRIME_POOL[0]), (2, 1)], [(0, 1), (1, PRIME_POOL[0]), (2, 1)]],
+    # Column 1 reads column 0 and is left with the lead p0.
+    [[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, PRIME_POOL[0] + 1), (2, 2)],
+     [(0, 2), (1, PRIME_POOL[0] + 2), (2, 3)]],
+])
+def test_a_non_unit_lead_ends_the_triple_at_the_same_column(cols):
+    cols = _csc(cols)
+    assert _column_pass(cols, _M, range(3)) == _per_vector_pass(cols, _M, range(3)) == (None, 1)
+    expected, _ = sparse_kernel_exact(cols)
+    vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 3, 3)
+    assert vectors == expected and len(vectors) == 1 and fallbacks == 0
+    assert cert.primes_used == list(PRIME_POOL[3:6]) and cert.modular_ranks == [2, 2, 2]
+    assert cert.rank == 2 and cert.method == "multi-modular+exact"
