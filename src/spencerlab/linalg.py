@@ -48,11 +48,13 @@ tracked pass mod p_i alone would give (Dixon, Numer. Math. 1982; Stein,
 *Modular Forms: A Computational Approach*, 2007, ch. 7).
 
 The pass lets the sparsest row lead (Markowitz, 1957), which keeps fill low
-on operators whose dense rows would otherwise lead: a position table, built
-once per matrix from a ``bincount`` of the row indices and a stable argsort,
-orders rows by fewest entries, ties to the smaller row index, and the pass
-keys each row by its position, so the smallest key leads.  Relations are over
-columns, so neither a rank nor a relation depends on which row leads a pivot.
+on operators whose dense rows would otherwise lead: one ``bincount`` of the
+row indices per matrix gives each row's entry count, and the pass keys row r
+of nrows by count[r] * nrows + r, so the smallest key is the row with fewest
+entries, ties to the smaller row index.  The keys are formed per entry, with
+no sort and no table of nrows keys, and stay below 10^14 under the default
+10^7 cap on rows and columns.  Relations are over columns, so neither a rank nor a
+relation depends on which row leads a pivot.
 
 Every residue of a relation is lifted to a fraction n/d with
 |n|, d <= sqrt(M/2), about 2^44, by rational reconstruction (Wang, 1981).
@@ -297,11 +299,13 @@ class Eliminator:
         """
         return self._insert(dict(vec), tag)
 
-    def insert_columns(self, cols: CSC, position=None) -> list[dict]:
+    def insert_columns(self, cols: CSC, row_counts=None) -> list[dict]:
         """Insert column j of cols under tag j, in order; the relations found.
 
-        Row r is keyed by ``position[r]`` (by r when None).  Modulo p, the
-        columns enter as :func:`_residues` gives them.  Each column's lead
+        Rows are keyed by :func:`_row_keys` of ``row_counts``, each row's
+        entry count in the matrix (by row index when None).  Modulo p, the
+        columns enter as :func:`_residues` gives them, and the keys are formed
+        from the entries it returns.  Each column's lead
         and lead value are found at once; a column whose lead has no pivot
         yet becomes one unreduced, after the same unit check as
         :meth:`insert`, and is stored as its index, so only a column that
@@ -311,7 +315,7 @@ class Eliminator:
 
         if self.p is not None:
             cols = _residues(cols, self.p)
-        keys = cols.rows if position is None else np.asarray(position)[cols.rows]
+        keys = cols.rows if row_counts is None else _row_keys(cols.rows, row_counts)
         bounds = cols.indptr.tolist()
         counts = np.diff(cols.indptr)
         nonempty = np.flatnonzero(counts)
@@ -441,29 +445,25 @@ def sparse_rank_modp(cols: CSC, p: int) -> int:
     return Eliminator(vectors, p=p).rank
 
 
-def _row_positions(cols: CSC, nrows: int) -> memoryview:
-    """Position of each row when rows are sorted by entry count, then index.
+def _row_keys(rows, row_counts):
+    """The key count[r] * nrows + r of each row index r in rows.
 
-    Rows with equal counts keep their index order.  A memoryview over int64:
-    a lookup returns a Python int, and no int object is kept per row.
+    ``row_counts`` holds the entry count of each of the nrows rows, so the
+    keys order rows by fewest entries, then by index, and no two rows share
+    a key.
     """
-    import numpy as np
-
-    position = np.bincount(cols.rows, minlength=nrows)
-    # Each row's count is overwritten by its place in the stable order by count.
-    position[np.argsort(position, kind="stable")] = np.arange(nrows)
-    return memoryview(position)
+    return row_counts[rows] * len(row_counts) + rows
 
 
-def _relations(cols: CSC, p: int | None, position=None) -> tuple[list[dict], int]:
+def _relations(cols: CSC, p: int | None, row_counts=None) -> tuple[list[dict], int]:
     """Relations of the columns that reduce to zero, and the rank.
 
     Column j is inserted under tag j into a tracked elimination over Q or Z/p
-    (:meth:`Eliminator.insert_columns`, rows keyed by ``position``); its
+    (:meth:`Eliminator.insert_columns`, rows keyed by ``row_counts``); its
     relation is supported on j (coefficient 1) and earlier pivot columns.
     """
     elim = Eliminator(p=p, track=True)
-    relations = elim.insert_columns(cols, position)
+    relations = elim.insert_columns(cols, row_counts)
     return relations, elim.rank
 
 
@@ -549,15 +549,17 @@ def kernel_with_certificate(
         # "dense-exact" names the small-matrix tier in the report format.
         return vectors, RankCertificate([], [], True, "dense-exact", rank)
 
+    import numpy as np
+
     pool = [p for p in PRIME_POOL if denominator % p]
-    position = _row_positions(cols, nrows)
+    row_counts = np.bincount(cols.rows, minlength=nrows)
     for attempt in range(4):
         primes = pool[attempt * 3 : attempt * 3 + 3]
         if len(primes) < 3:
             raise RankDisagreement("prime pool exhausted")
         modulus = primes[0] * primes[1] * primes[2]
         try:
-            vectors, rank = _relations(cols, modulus, position)
+            vectors, rank = _relations(cols, modulus, row_counts)
             break
         except _NonUnitPivot:
             continue

@@ -36,7 +36,9 @@ expands the terms and indexes each term's row by ``sym.rank_weights``
 lookups; ``linalg.csc`` sums duplicate entries.  Its values are int64 when k
 times the largest sum of |entries| of one table is below 2^63, which bounds
 every entry's sum of absolute values, and Python ints in object arrays
-otherwise, in the same code.  A matrix keeps its integer entries as one
+otherwise, in the same code.  ``ad_images`` expands the adjoint action of
+every generator on integer vectors over Sym^k by the same rule and indexing,
+a single index in place of a pair.  A matrix keeps its integer entries as one
 ``linalg.CSC``, as sums and composites do, plus one positive denominator:
 the scale with the gcd of it and every entry divided out.  Fractions and
 (row, value) tuples appear only at the boundaries: single-element
@@ -201,6 +203,16 @@ def _column_chunks(sizes):
         start = stop
 
 
+def _runs(starts, counts):
+    """(indices, owners): the index ranges [starts[i], starts[i] + counts[i])
+    concatenated, and the i each index came from."""
+    import numpy as np
+
+    ends = np.cumsum(counts)
+    return (np.repeat(starts + counts - ends, counts) + np.arange(ends[-1] if len(ends) else 0),
+            np.repeat(np.arange(len(counts)), counts))
+
+
 def _assemble(
     tables: tuple[IntTerms, ...],
     monomials: Iterable[tuple[int, ...]],
@@ -252,10 +264,7 @@ def _assemble(
             prefix[:, :, 1:] = np.cumsum(weights[(shifts + pos) * stride + rest], axis=2)
             lo = (prefix[0] - prefix[1]).ravel()
             hi = (prefix[1] - prefix[2] + prefix[2][:, -1:]).ravel()
-            count = sizes[gen]
-            col = np.repeat(np.arange(width), count)
-            term = np.repeat(indptr[gen] - (np.cumsum(count) - count), count)
-            term += np.arange(len(term))
+            term, col = _runs(indptr[gen], sizes[gen])
             a, b = first[term], second[term]
             ca = (rest[col] < a[:, None]).sum(axis=1)
             cb = (rest[col] < b[:, None]).sum(axis=1)
@@ -265,6 +274,69 @@ def _assemble(
             rows.append(row)
             vals.append(values[term] * sign)
         yield np.concatenate(cols), np.concatenate(rows), np.concatenate(vals)
+
+
+def ad_images(alg: LieAlgebraTable, vectors: list[dict[int, int]],
+              monomials: list[tuple[int, ...]]):
+    """ad_a(s) for every generator x_a and every integer vector s, over Sym^k.
+
+    Each s maps columns of ``monomials``, the Sym^k basis in
+    ``enumerate_basis`` order, to integers.  ad_a is a derivation, so
+    ad_a(s) replaces one factor x_b of each monomial at a time by
+    [x_a, x_b] = -[x_b, x_a]: the table is antisymmetric by construction and
+    ``chevalley.prove_jacobi`` checks it, so row b serves as column b.  The
+    vectors are cut into chunks whose terms stay within ``_CHUNK_TERMS`` (a
+    vector with more is a chunk alone), and per chunk this yields (first,
+    images): column (i - first) * dim + a of the ``linalg.CSC`` images is
+    ad_a(vectors[i]), its rows indexed by ``sym.rank_weights`` with no sort.
+    Values are int64 when k times the largest |[x_b, x_a]|_1 times the
+    largest |s|_1, a bound on every sum, is below 2^63, and Python ints
+    otherwise.
+    """
+    import numpy as np
+
+    n, k = alg.dim, len(monomials[0])
+    rows = alg.bracket_rows
+    # One (c, coefficient) tuple per bracket [x_b, x_a]; row b becomes one
+    # run of (a, c, coefficient of x_c in [x_a, x_b]).
+    brackets = list(chain.from_iterable(row.values() for row in rows))
+    length = np.fromiter(map(len, brackets), np.int64, len(brackets))
+    gen = np.repeat(np.fromiter(chain.from_iterable(rows), np.int64, len(brackets)), length)
+    target, coeff = np.fromiter(chain.from_iterable(chain.from_iterable(brackets)),
+                                np.int64).reshape(-1, 2).T
+    coeff = -1 * coeff
+    row_end = np.concatenate(([0], np.cumsum(length)))[np.cumsum([len(row) for row in rows])]
+    row_len = np.diff(row_end, prepend=0)
+    values = list(chain.from_iterable(vec.values() for vec in vectors))
+    vec_len = np.fromiter(map(len, vectors), np.int64, len(vectors))
+    # |[x_b, x_a]|_1 and |s|_1 are at most their largest entries times length.
+    value = np.array(values, value_dtype(
+        k * max(int(coeff.max(initial=0)), -int(coeff.min(initial=0))) * int(length.max(initial=0))
+        * max(map(abs, values), default=0) * int(vec_len.max(initial=0))))
+    columns = chain.from_iterable(vectors)
+    mono = np.fromiter(chain.from_iterable(map(monomials.__getitem__, columns)),
+                       np.int64, len(values) * k).reshape(-1, k)
+    bounds = np.concatenate(([0], np.cumsum(vec_len)))
+    terms = np.concatenate(([0], np.cumsum(row_len[mono].sum(axis=1))))
+    # weights[q * stride + c]: the rank weight of index c at position q.
+    stride = n + 1
+    weights = np.array(rank_weights(n, k), np.int64).ravel()
+    for first, stop in _column_chunks(terms[bounds[1:]] - terms[bounds[:-1]]):
+        lo, hi = bounds[first], bounds[stop]
+        block, owner = mono[lo:hi], np.repeat(np.arange(stop - first), vec_len[first:stop])
+        chunk = []
+        for q in range(k):
+            # x_c replaces the factor at q and lands after the ca = #(rest < c)
+            # smaller rest entries; the rest entries from place ca on move one
+            # place up, so the row index needs no sort.
+            term, entry = _runs(row_end[block[:, q]] - row_len[block[:, q]], row_len[block[:, q]])
+            c, rest = target[term], block[entry][:, [l for l in range(k) if l != q]]
+            ca = (rest < c[:, None]).sum(axis=1)
+            row = weights[ca * stride + c]
+            for i in range(k - 1):
+                row += weights[(i + (ca <= i)) * stride + rest[:, i]]
+            chunk.append((owner[entry] * n + gen[term], row, value[lo + entry] * coeff[term]))
+        yield first, csc((stop - first) * n, [tuple(map(np.concatenate, zip(*chunk)))])
 
 
 def apply_delta(

@@ -11,10 +11,20 @@ multiplicities from the Freudenthal recursion, both in exact integers over
 the datum's cached ``cartan.RootGeometry``.  A character is peeled into
 irreducible summands on its dominant weights only.
 
-The submodule check needs no elimination: ``is_g_submodule`` reads span
-membership off the free-variable form (``kernels`` module docs), in
-integers.  ``ad_action_on_sym``, the Fraction action on one element, has no
-caller in the package: the tests keep it as an independent reference.
+The submodule check needs no elimination: ``is_g_submodule`` takes ad_a(s)
+for every generator x_a and kernel vector s from ``operators.ad_images``
+(the Leibniz rule, one chunk of whole vectors at a time, rows indexed by
+``sym.rank_weights`` with no sort) and reads span membership off the
+free-variable form with ``kernels.outside_span``; each sum is one stable
+argsort and ``add.reduceat`` in ``linalg.csc``.  Values are int64 when a
+bound on every sum, computed in Python ints, is below 2^63, as
+``linalg.value_dtype`` decides, and Python ints in object arrays otherwise,
+in the same code: k |[x_b, x_a]|_1 |s|_1 for the images, and the largest
+image entry times the longest image column times the larger of D and the
+largest scaled pivot entry for the residuals, D being the lcm of the free
+coefficients.  ``weight_decomposition`` gets each monomial's weight from one
+gather of the generator weights and a sum; only a kernel that is not
+weight-graded takes certified ranks.
 """
 
 from __future__ import annotations
@@ -22,13 +32,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import lcm, prod
+from itertools import chain
+from math import prod
 
 from .cartan import geometry
 from .chevalley import LieAlgebraTable
-from .kernels import KernelBasis, free_monomials
+from .kernels import KernelBasis, outside_span
 from .linalg import csc, kernel_with_certificate, value_dtype
-from .sym import SymElement
+from .operators import ad_images
 
 WeightVector = tuple[int, ...]
 
@@ -43,80 +54,28 @@ def monomial_weight(alg: LieAlgebraTable, mono: tuple[int, ...]) -> WeightVector
     return tuple(acc)
 
 
-def ad_action_on_sym(alg: LieAlgebraTable, x: SymElement, s: SymElement) -> SymElement:
-    """Derivation extension of ad_x to Sym^k: replace one factor at a time."""
-    if x.degree != 1:
-        raise ValueError("ad action needs a degree-1 element")
-    if x.dim != alg.dim or s.dim != alg.dim:
-        raise ValueError("elements must live over the given algebra")
-    out = SymElement.zero(s.degree, alg.dim)
-    for (a,), va in x.terms.items():
-        row = alg.bracket_rows[a]
-        for mono, coeff in s.terms.items():
-            for j in range(len(mono)):
-                ent = row.get(mono[j])
-                if not ent:
-                    continue
-                rest = mono[:j] + mono[j + 1 :]
-                for c, bc in ent:
-                    out.add_term(tuple(sorted(rest + (c,))), va * coeff * bc)
-    return out
-
-
 def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     """Check ad-stability of the kernel span; failures list (x, s) pairs.
 
-    Membership is read off the free-variable form (module docs), in
-    integers: with D the lcm of the free coefficients c_f, y = ad_a(s) is in
-    the span exactly when D times its pivot part is sum_f y[f] * D / c_f
-    times the pivot part of K_f.
+    Every ad_a(s), from ``operators.ad_images``, is tested against the span
+    by ``kernels.outside_span``, in integers (module docs).
     """
-    free, mons = free_monomials(kb), kb.monomials
-    scale = lcm(*kb.free_coefficients)
-    # The pivot part of each K_f times D / c_f; () when it has none.
-    pivot_parts = [
-        tuple((mons[j], v * (scale // c)) for j, v in vec.items() if mons[j] not in free)
-        for vec, c in zip(kb.coords, kb.free_coefficients)
-    ]
-    # [x_a, x_b] = -[x_b, x_a]: the table is antisymmetric by construction
-    # and ``chevalley.prove_jacobi`` checks it, so column b is minus row b.
-    rows = alg.bracket_rows
+    import numpy as np
 
-    violations = []
-    for s_idx, vec in enumerate(kb.coords):
-        # ad_a(s) for every generator a at once, by the Leibniz rule.
-        images: dict[int, dict[tuple[int, ...], int]] = {}
-        for col, coeff in vec.items():
-            mono = mons[col]
-            for j, b in enumerate(mono):
-                rest = mono[:j] + mono[j + 1 :]
-                for a, entries in rows[b].items():
-                    img = images.get(a)
-                    if img is None:
-                        img = images[a] = {}
-                    for c, bc in entries:
-                        key = tuple(sorted(rest + (c,)))
-                        img[key] = img.get(key, 0) - coeff * bc
-        for a, img in images.items():
-            residual: dict[tuple[int, ...], int] = {}
-            for mono, v in img.items():
-                if not v:
-                    continue
-                f_idx = free.get(mono)
-                if f_idx is None:
-                    residual[mono] = residual.get(mono, 0) + scale * v
-                else:
-                    for m, w in pivot_parts[f_idx]:
-                        residual[m] = residual.get(m, 0) - v * w
-            if any(residual.values()):
-                violations.append([a, s_idx])
-    violations.sort()
+    outside = outside_span(kb)
+    # Each violation (a, s) as a * dim K + s, so that one sort orders them.
+    violations = [np.zeros(0, np.int64)]
+    for first, images in ad_images(alg, kb.coords, kb.monomials):
+        s, a = np.divmod(outside(images), alg.dim)
+        violations.append(a * kb.dim + s + first)
+    violations = np.concatenate(violations)
+    first_violations = violations[np.argsort(violations, kind="stable")[:50]].tolist()
     return {
         "algebra": alg.label,
         "degree": kb.degree,
         "kernel_dim": kb.dim,
-        "is_submodule": not violations,
-        "violations": violations[:50],
+        "is_submodule": not len(violations),
+        "violations": [[v // kb.dim, v % kb.dim] for v in first_violations],
         "violation_count": len(violations),
     }
 
@@ -132,28 +91,29 @@ def weight_decomposition(alg: LieAlgebraTable, kb: KernelBasis) -> dict:
     deletes exactly the weight-mu vectors and keeps the rest independent,
     so the multiplicities are counts and no rank is computed.
     """
-    weights_present: set[WeightVector] = set()
-    col_weight: dict[int, WeightVector] = {}
+    import numpy as np
+
+    row = np.fromiter(chain.from_iterable(kb.coords), np.int64)
+    mono = np.fromiter(chain.from_iterable(map(kb.monomials.__getitem__, row.tolist())),
+                       np.int64).reshape(len(row), kb.degree)
+    # Each entry's monomial weight: one gather of generator weights, summed.
+    gen_weight = np.array(alg.weights, np.int64).reshape(alg.dim, alg.rank)
+    weight = list(map(tuple, gen_weight[mono].sum(axis=1).tolist()))
+    bounds = np.cumsum([0] + list(map(len, kb.coords))).tolist()
     # The one weight of each basis vector, None for a vector of several.
-    vector_weight: list[WeightVector | None] = []
-    for vec in kb.coords:
-        for j in vec.keys() - col_weight.keys():
-            col_weight[j] = monomial_weight(alg, kb.monomials[j])
-        weights = {col_weight[j] for j in vec}
-        weights_present |= weights
+    vector_weight = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        weights = set(weight[lo:hi])
         vector_weight.append(weights.pop() if len(weights) == 1 else None)
     multiplicities: dict[WeightVector, int] = {}
     if None not in vector_weight:
         multiplicities.update(Counter(vector_weight))
     else:
-        import numpy as np
-
-        vector, row, value = zip(*[(i, j, v) for i, vec in enumerate(kb.coords)
-                                   for j, v in vec.items()])
-        value = np.array(value, value_dtype(max(map(abs, value))))
-        vector, row = np.array(vector, np.int64), np.array(row, np.int64)
-        for mu in sorted(weights_present):
-            keep = np.array([col_weight[j] != mu for j in row.tolist()])
+        vector = np.repeat(np.arange(kb.dim), np.diff(bounds))
+        values = list(chain.from_iterable(vec.values() for vec in kb.coords))
+        value = np.array(values, value_dtype(max(map(abs, values))))
+        for mu in sorted(set(weight)):
+            keep = np.array([w != mu for w in weight])
             cols = csc(kb.dim, [(vector[keep], row[keep], value[keep])])
             _, cert = kernel_with_certificate(cols, len(kb.monomials), kb.dim)
             d = kb.dim - cert.rank
@@ -248,6 +208,10 @@ def freudenthal_multiplicities(
         return geo.dot(mu_rho, mu_rho)
 
     c_top = norm_rho(lam)
+    # No weight of V(lam) is longer than lam, and for dominant mu and a
+    # positive root beta, (mu + k beta, mu + k beta) grows with k: a root
+    # string stops at its first weight longer than lam.
+    lam_norm = geo.dot(lam, lam)
 
     # The dominant weights below lam, each reached from lam through dominant
     # weights by subtracting positive roots (Stembridge, "The partial order
@@ -275,10 +239,9 @@ def freudenthal_multiplicities(
             k = 1
             while True:
                 nu = tuple(mu[i] + k * beta_labels[i] for i in range(rank))
-                nu_dom = lat.dominant_conjugate(nu)
-                if norm_rho(nu_dom) > c_top:
+                if geo.dot(nu, nu) > lam_norm:
                     break
-                m_nu = mult.get(nu_dom, 0)
+                m_nu = mult.get(lat.dominant_conjugate(nu), 0)
                 if m_nu:
                     total += m_nu * (geo.dot_root(mu, r) + k * geo.norm2[r])
                 k += 1

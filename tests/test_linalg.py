@@ -390,13 +390,28 @@ def test_non_unit_pivots_in_every_triple_raise_rank_disagreement():
     assert "\n" not in str(info.value) and "vanished modulo some" in str(info.value)
 
 
+def _key_ranks(cols, nrows):
+    """The place of each row in the order of its ``_row_keys`` key."""
+    keys = linalg._row_keys(np.arange(nrows), np.bincount(cols.rows, minlength=nrows))
+    return list(np.argsort(np.argsort(keys)))
+
+
 def test_row_positions_put_the_sparsest_row_first():
     # Row counts: row 0 has 3 entries, row 1 has 1, row 2 none, row 3 has 1,
     # row 4 has 2.  Fewest entries first, ties to the smaller row index.
     cols = [[(0, 1), (1, 1), (4, 1)], [(0, 1), (3, 1)], [(0, 1), (4, 1)]]
-    assert list(linalg._row_positions(_csc(cols), 5)) == [4, 1, 0, 2, 3]
-    assert list(linalg._row_positions(_csc([]), 3)) == [0, 1, 2]
-    assert list(linalg._row_positions(_csc([[], []]), 0)) == []
+    assert _key_ranks(_csc(cols), 5) == [4, 1, 0, 2, 3]
+    assert _key_ranks(_csc([]), 3) == [0, 1, 2]
+    assert _key_ranks(_csc([[], []]), 0) == []
+
+
+def _stable_positions(cols, nrows):
+    """Each row's place when rows are stably sorted by entry count: the
+    position table the keys replace."""
+    count = np.bincount(cols.rows, minlength=nrows)
+    position = np.empty(nrows, np.int64)
+    position[np.argsort(count, kind="stable")] = np.arange(nrows)
+    return position
 
 
 def _dict_columns(cols):
@@ -541,10 +556,10 @@ def _per_vector_pass(cols, p, position):
     return relations, elim.rank
 
 
-def _column_pass(cols, p, position):
+def _column_pass(cols, p, row_counts=None):
     elim = Eliminator(p=p, track=True)
     try:
-        return elim.insert_columns(cols, position), elim.rank
+        return elim.insert_columns(cols, row_counts), elim.rank
     except linalg._NonUnitPivot:
         return None, elim.rank
 
@@ -555,10 +570,27 @@ def _column_pass(cols, p, position):
 def test_column_pass_matches_the_per_vector_reference(rows):
     nrows, ncols = len(rows), len(rows[0])
     cols = _csc(_to_cols(rows, ncols))
-    for position in (linalg._row_positions(cols, nrows), range(nrows)):
-        assert _column_pass(cols, _M, position) == _per_vector_pass(cols, _M, position)
+    row_counts = np.bincount(cols.rows, minlength=nrows)
+    assert (_column_pass(cols, _M, row_counts)
+            == _per_vector_pass(cols, _M, _stable_positions(cols, nrows)))
+    assert _column_pass(cols, _M) == _per_vector_pass(cols, _M, range(nrows))
     relations, rank = _per_vector_pass(cols, None, range(nrows))
     assert linalg._relations(cols, None) == (relations, rank)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=_pass_matrices)
+@example(rows=[[_M, 1, 0], [0, 2 * _M, 1], [1, 1, _M + 1], [0, 0, 0]])
+def test_row_keys_order_entries_as_the_stable_sort_by_count(rows):
+    # The keys are formed on the entries the pass reads: those _residues
+    # returns, a rebuilt matrix when an object column holds M or more.
+    nrows, ncols = len(rows), len(rows[0])
+    cols = _csc(_to_cols(rows, ncols))
+    reduced = linalg._residues(cols, _M)
+    keys = linalg._row_keys(reduced.rows, np.bincount(cols.rows, minlength=nrows))
+    position = _stable_positions(cols, nrows)[reduced.rows]
+    assert keys.dtype == np.int64
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.argsort(position, kind="stable"))
 
 
 @pytest.mark.parametrize("p", [None, _M])
@@ -587,7 +619,7 @@ def test_a_stored_pivot_is_read_when_a_later_column_first_meets_its_lead(p):
 ])
 def test_a_non_unit_lead_ends_the_triple_at_the_same_column(cols):
     cols = _csc(cols)
-    assert _column_pass(cols, _M, range(3)) == _per_vector_pass(cols, _M, range(3)) == (None, 1)
+    assert _column_pass(cols, _M) == _per_vector_pass(cols, _M, range(3)) == (None, 1)
     expected, _ = sparse_kernel_exact(cols)
     vectors, cert, fallbacks = _certified_counting_fallbacks(cols, 3, 3)
     assert vectors == expected and len(vectors) == 1 and fallbacks == 0

@@ -4,17 +4,28 @@ import dataclasses
 import json
 import random
 from fractions import Fraction as Q
+from collections import Counter
 from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 
+from spencerlab import kernels, operators
 from spencerlab.chevalley import algebra
-from spencerlab.kernels import kernel_of_constrained
-from spencerlab.linalg import DENSE_ENTRY_LIMIT, CertificationError, Eliminator, rref_dense
+from spencerlab.kernels import KernelBasis, free_monomials, kernel_of_constrained
+from spencerlab.linalg import (
+    DENSE_ENTRY_LIMIT,
+    CertificationError,
+    Eliminator,
+    csc,
+    kernel_with_certificate,
+    rref_dense,
+    value_dtype,
+)
 from spencerlab.presets import cartan_dual, parse_lambda_spec, random_dual, zero_dual
 from spencerlab.repdecomp import (
     WeightLattice,
-    ad_action_on_sym,
     decompose_character,
     freudenthal_multiplicities,
     irrep_weight_multiset,
@@ -26,6 +37,28 @@ from spencerlab.repdecomp import (
 from spencerlab.sym import SymElement
 
 from conftest import load_golden
+
+
+def ad_action_on_sym(alg, x, s):
+    """Derivation extension of ad_x to Sym^k, in Fractions: replace one factor
+    at a time.  The independent reference for ``is_g_submodule``."""
+    if x.degree != 1:
+        raise ValueError("ad action needs a degree-1 element")
+    if x.dim != alg.dim or s.dim != alg.dim:
+        raise ValueError("elements must live over the given algebra")
+    out = SymElement.zero(s.degree, alg.dim)
+    for (a,), va in x.terms.items():
+        row = alg.bracket_rows[a]
+        for mono, coeff in s.terms.items():
+            for j in range(len(mono)):
+                ent = row.get(mono[j])
+                if not ent:
+                    continue
+                rest = mono[:j] + mono[j + 1 :]
+                for c, bc in ent:
+                    out.add_term(tuple(sorted(rest + (c,))), va * coeff * bc)
+    return out
+
 
 
 def test_ad_action_examples(a1):
@@ -81,18 +114,94 @@ ODD_DENOMINATOR_G2 = [[1, 3], [2, 5]] + [[0, 1]] * 12
         ("B3", 2, "preset:random:7"),
         ("G2", 2, "file"),
         ("A1", 1, "preset:cartan1"),
+        ("G2", 3, "preset:random:1000"),
+        ("G2", 2, "huge"),
+        ("G2", 3, "huge"),
+        ("G2", 2, "lcm"),
     ],
 )
-def test_submodule_check_matches_span_elimination(label, k, spec, tmp_path):
+def test_submodule_check_matches_span_elimination(label, k, spec, tmp_path, monkeypatch):
     alg = algebra(label)
-    if spec == "file":
-        path = tmp_path / "lambda.json"
-        path.write_text(json.dumps(ODD_DENOMINATOR_G2))
-        spec = f"file:{path}"
-    kb, _ = kernel_of_constrained(alg, parse_lambda_spec(alg, spec), k)
+    if spec in ("huge", "lcm"):
+        kb = _hand_built_kernel_basis(alg, k, spec)
+    else:
+        if spec == "file":
+            path = tmp_path / "lambda.json"
+            path.write_text(json.dumps(ODD_DENOMINATOR_G2))
+            spec = f"file:{path}"
+        kb, _ = kernel_of_constrained(alg, parse_lambda_spec(alg, spec), k)
     if spec.startswith("file:"):
         assert max(v.denominator for el in kb.basis for v in el.terms.values()) > 1000
-    assert is_g_submodule(alg, kb) == reference_is_g_submodule(alg, kb)
+    expected = reference_is_g_submodule(alg, kb)
+    dtypes = []
+
+    def recorded(bound):
+        dtypes.append(value_dtype(bound))
+        return dtypes[-1]
+
+    monkeypatch.setattr(operators, "value_dtype", recorded)
+    monkeypatch.setattr(kernels, "value_dtype", recorded)
+    assert is_g_submodule(alg, kb) == expected
+    # Images of entries past 2^63 are object arrays; the lcm D of small free
+    # coefficients passes 2^63 only in the residuals.
+    assert set(dtypes) == {"huge": {object}, "lcm": {"int64", object}}.get(spec, {"int64"})
+    # Chunks of one term put every vector, and every (a, s) pair at the
+    # substitution, in a chunk of its own; seven cut between them.
+    for terms in (1, 7):
+        monkeypatch.setattr(operators, "_CHUNK_TERMS", terms)
+        assert is_g_submodule(alg, kb) == expected
+
+
+def _hand_built_kernel_basis(alg, k, spec):
+    """A random basis in free-variable form (``kernels`` module docs): each
+    vector is positive at its free column, the largest, and touches no other
+    vector's free column.  "huge" draws entries past 2^63; "lcm" draws small
+    entries and free coefficients whose lcm passes 2^63.  Each vector lies in
+    one weight space, so the Cartan generators keep it and the verdict mixes
+    pairs in the span with pairs outside it."""
+    rng = random.Random(f"{spec}-{alg.label}-{k}")
+    monomials = list(combinations_with_replacement(range(alg.dim), k))
+    spaces = {}
+    for j, mono in enumerate(monomials):
+        spaces.setdefault(monomial_weight(alg, mono), []).append(j)
+    spaces = [cols for cols in spaces.values() if len(cols) >= 4]
+    free = sorted(max(cols) for cols in rng.sample(spaces, 6))
+    entry, lead = (2**70, 2**64) if spec == "huge" else (100, 2**22)
+    coords = []
+    for f in free:
+        space = next(cols for cols in spaces if max(cols) == f)
+        vec = {j: rng.choice([-1, 1]) * rng.randrange(1, entry) for j in rng.sample(space[:-1], 3)}
+        vec[f] = lead + rng.randrange(lead)
+        g = gcd(*vec.values())
+        coords.append({j: v // g for j, v in sorted(vec.items())})
+    kb = KernelBasis(k, alg.label, len(coords), coords, monomials, alg.dim)
+    free_monomials(kb)
+    if spec == "lcm":
+        assert lcm(*kb.free_coefficients) >= 2**63
+    return kb
+
+
+@pytest.mark.parametrize("label,k,spec", [("A2", 2, "random:4321"), ("G2", 3, "huge")])
+@pytest.mark.parametrize("terms", [None, 7])
+def test_ad_images_match_the_fraction_action(label, k, spec, terms, monkeypatch):
+    alg = algebra(label)
+    if spec == "huge":
+        kb = _hand_built_kernel_basis(alg, k, spec)
+    else:
+        kb, _ = kernel_of_constrained(alg, parse_lambda_spec(alg, f"preset:{spec}"), k)
+    if terms is not None:
+        monkeypatch.setattr(operators, "_CHUNK_TERMS", terms)
+    got = {}
+    for first, images in operators.ad_images(alg, kb.coords, kb.monomials):
+        for col, (rows, values) in enumerate(images):
+            s, a = divmod(col, alg.dim)
+            got[a, first + s] = {kb.monomials[r]: v for r, v in zip(rows.tolist(), values.tolist())}
+    expected = {}
+    for a in range(alg.dim):
+        for i, vec in enumerate(kb.coords):
+            s = SymElement(k, alg.dim, {kb.monomials[j]: Q(v) for j, v in vec.items()})
+            expected[a, i] = ad_action_on_sym(alg, SymElement.monomial(alg.dim, (a,)), s).terms
+    assert got == expected
 
 
 def _a2_kernel():
@@ -192,6 +301,55 @@ def test_mixed_weight_multiplicities_match_fraction_rank(label, seed):
     assert label != "F4" or len(kb.monomials) * kb.dim > DENSE_ENTRY_LIMIT
 
 
+def reference_weight_decomposition(alg, kb):
+    """The dict form of ``weight_decomposition``: one ``monomial_weight`` per
+    column, a set of weights per vector, and the certified rank with the
+    weight-mu columns removed when some vector has several weights."""
+    weights_present = set()
+    col_weight = {}
+    vector_weight = []
+    for vec in kb.coords:
+        for j in vec.keys() - col_weight.keys():
+            col_weight[j] = monomial_weight(alg, kb.monomials[j])
+        weights = {col_weight[j] for j in vec}
+        weights_present |= weights
+        vector_weight.append(weights.pop() if len(weights) == 1 else None)
+    multiplicities = {}
+    if None not in vector_weight:
+        multiplicities.update(Counter(vector_weight))
+    else:
+        vector, row, value = zip(*[(i, j, v) for i, vec in enumerate(kb.coords)
+                                   for j, v in vec.items()])
+        value = np.array(value, value_dtype(max(map(abs, value))))
+        vector, row = np.array(vector, np.int64), np.array(row, np.int64)
+        for mu in sorted(weights_present):
+            keep = np.array([col_weight[j] != mu for j in row.tolist()])
+            cols = csc(kb.dim, [(vector[keep], row[keep], value[keep])])
+            _, cert = kernel_with_certificate(cols, len(kb.monomials), kb.dim)
+            d = kb.dim - cert.rank
+            if d:
+                multiplicities[mu] = d
+    total = sum(multiplicities.values())
+    return {
+        "weights": {",".join(map(str, mu)): m for mu, m in sorted(multiplicities.items())},
+        "multiset": sorted([mu for mu, m in multiplicities.items() for _ in range(m)]),
+        "total": total,
+        "graded": total == kb.dim,
+    }
+
+
+@pytest.mark.parametrize("label,spec", [
+    ("F4", "preset:zero"), ("G2", "preset:cartan1"), ("G2", "preset:random:1000"),
+])
+def test_weight_decomposition_matches_the_dict_reference(label, spec):
+    alg = algebra(label)
+    kb, _ = kernel_of_constrained(alg, parse_lambda_spec(alg, spec), 2)
+    got, expected = weight_decomposition(alg, kb), reference_weight_decomposition(alg, kb)
+    assert got == expected
+    assert list(got) == list(expected) and list(got["weights"]) == list(expected["weights"])
+    assert got["graded"] == (spec != "preset:random:1000")
+
+
 def test_weyl_dim_values(a1):
     assert weyl_dim(a1, (0,)) == 1
     assert weyl_dim(a1, (2,)) == 3
@@ -229,6 +387,21 @@ def test_freudenthal_adjoint_a2():
 def test_freudenthal_totals_match_weyl(g2):
     for hw in [(1, 0), (0, 1), (2, 0)]:
         assert sum(irrep_weight_multiset(g2, hw).values()) == weyl_dim(g2, hw)
+
+
+@pytest.mark.parametrize("label,highest_weight", [
+    ("E7", (2, 0, 0, 0, 0, 0, 0)),
+    ("E8", (1, 0, 0, 0, 0, 0, 0, 0)),
+    ("F4", (1, 0, 0, 1)),
+    ("E6", (1, 0, 0, 0, 0, 1)),
+    ("B3", (1, 1, 1)),
+])
+def test_freudenthal_totals_match_weyl_on_long_root_strings(label, highest_weight):
+    # Each root string stops at its first weight longer than the highest
+    # weight; a stop too early would lose multiplicity and the total.
+    alg = algebra(label)
+    total = sum(irrep_weight_multiset(alg, highest_weight).values())
+    assert total == weyl_dim(alg, highest_weight)
 
 
 def test_decompose_sym2_a1(a1):
