@@ -237,6 +237,16 @@ def minimize(
 ) -> tuple[FieldConfig, list[TraceRow]]:
     """Deterministic gradient descent with backtracking line search.
 
+    Each iteration tries one step first and halves it (``backtrack_factor``)
+    until the Armijo sufficient-decrease test passes.  Iteration 1 tries
+    twice ``SolverConfig.step``.  Every later iteration tries the
+    Barzilai-Borwein step s.s / s.y of the last move s = -step g and
+    gradient change y = g_new - g, which is step ||g||^2 / (||g||^2 -
+    g.g_new); when that denominator is not positive, or the quotient is not
+    finite or is below ``min_step`` (as when the gradient reaches 0), it
+    tries twice the last accepted step instead.  Every trial is capped at
+    1e6.
+
     The energy trace is non-increasing by construction; if backtracking
     exhausts the step size on an ascent direction, or the start already has
     a non-finite energy or gradient norm, the run raises SolverDivergence
@@ -254,10 +264,11 @@ def minimize(
             f"the start has energy {eb.total} and gradient norm {gnorm}; both must be finite"
         )
     trace = [TraceRow(0, eb, gnorm, step)]
+    trial = step * 2.0
     for it in range(1, solver.max_iters + 1):
         if gnorm < solver.tol:
             break
-        step = min(step * 2.0, 1e6)
+        step = min(trial, 1e6)
         while True:
             cand = FieldConfig(config.lam - step * g)
             res, pairings = _edge_terms(bundle, cand, mats)
@@ -273,7 +284,15 @@ def minimize(
                 )
         config = cand
         eb = eb_new
-        g = gradient(bundle, config, weights, mats, res, pairings)
+        g_new = gradient(bundle, config, weights, mats, res, pairings)
+        gg = gnorm * gnorm
+        denom = gg - float(np.vdot(g, g_new))
+        trial = step * 2.0
+        if denom > 0:
+            quotient = step * gg / denom
+            if quotient >= solver.min_step and np.isfinite(quotient):
+                trial = quotient
+        g = g_new
         gnorm = float(np.linalg.norm(g))
         trace.append(TraceRow(it, eb, gnorm, step))
     return config, trace

@@ -26,3 +26,7 @@ def test_assembly_cases_match_the_golden():
     cases = load_golden("assembly_sha.json")["cases"]
     rows = [(c["algebra"], c["lambda"], c["k"], c["formula"]) for c in cases]
     assert list(regen.ASSEMBLY_CASES) == rows
+
+
+def test_varsolve_solve_config_matches_the_golden():
+    assert regen.VARSOLVE_SOLVE_CONFIG == load_golden("varsolve_solve_a1_d3n3.json")["config"]

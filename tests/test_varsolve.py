@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from spencerlab.chevalley import algebra
 from spencerlab.torus import CellComplex
 from spencerlab.varsolve import (
     FieldConfig,
@@ -200,14 +201,58 @@ def test_minimize_harmonic_projection(a1):
     assert np.allclose(final.lam, mean, atol=1e-5)
 
 
+def monotone(trace):
+    totals = [row.breakdown.total for row in trace]
+    return all(b <= a for a, b in zip(totals, totals[1:]))
+
+
 def test_minimize_monotone_ten_seeds(a1):
-    for seed in range(10):
+    # At C = 0.1 the barrier is active from the start, so the sup-norm
+    # subgradient enters the gradient and the step quotient.
+    for bound_c, seed in product((10.0, 0.1), range(10)):
         bundle, config = random_bundle_and_config(a1, 2, 4, seed=seed)
-        w = Weights(alpha1=0.5, alpha3=1.0, bound_c=10.0)
+        w = Weights(alpha1=0.5, alpha3=1.0, bound_c=bound_c)
+        assert (float(np.max(config.lam ** 2)) > bound_c) == (bound_c < 1.0)
         final, trace = minimize(bundle, config, w, SolverConfig(max_iters=800))
-        totals = [row.breakdown.total for row in trace]
-        assert all(b <= a for a, b in zip(totals, totals[1:]))
+        assert monotone(trace)
         assert cartan_residual(bundle, final) <= cartan_residual(bundle, config)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_minimize_bench_config_converges_in_few_iterations(g2, seed):
+    # The benchmark's varsolve instance (G2, d=3, n=6, C=10): doubling the
+    # step each iteration took 527 to 765 iterations on seeds 1-5, the
+    # Barzilai-Borwein trial 115 to 186.
+    bundle, config = random_bundle_and_config(g2, 3, 6, seed, omega_scale=0.3, lam_scale=0.5)
+    w = Weights(alpha1=0.5, alpha3=1.0, bound_c=10.0)
+    _, trace = minimize(bundle, config, w, SolverConfig(step=0.1, max_iters=3000, tol=1e-8))
+    assert trace[-1].grad_norm < 1e-8
+    assert monotone(trace)
+    assert len(trace) - 1 < 300
+
+
+@pytest.mark.parametrize("label, bound_c", [("A1", 10.0), ("A1", 0.1), ("G2", 0.1)])
+@pytest.mark.parametrize("seed", [0, 2])
+def test_minimize_past_machine_precision_keeps_finite_steps(label, bound_c, seed):
+    # With tol = 0 the run goes on after the gradient has underflowed; the
+    # step quotient's denominator reaches 0 (A1, C = 0.1, seed 2 reaches a
+    # gradient of exactly 0), and the fallback must keep every step usable.
+    bundle, config = random_bundle_and_config(algebra(label), 2, 4, seed)
+    w = Weights(alpha1=0.5, alpha3=1.0, bound_c=bound_c)
+    _, trace = minimize(bundle, config, w, SolverConfig(tol=0.0, max_iters=1500))
+    assert len(trace) == 1501
+    assert all(np.isfinite(row.step) and row.step > 0 for row in trace)
+    assert monotone(trace)
+
+
+def test_minimize_zero_gradient_doubles_the_step_up_to_the_cap(a1):
+    # At a stationary start the quotient is 0 / 0, so every trial is the
+    # doubled last step, capped at 1e6, and is accepted.
+    bundle, _ = random_bundle_and_config(a1, 2, 4, seed=3)
+    zero = FieldConfig(np.zeros((bundle.n_nodes, a1.dim)))
+    _, trace = minimize(bundle, zero, Weights(), SolverConfig(step=0.1, tol=0.0, max_iters=40))
+    assert [row.step for row in trace] == [0.1] + [min(0.1 * 2.0 ** i, 1e6) for i in range(1, 41)]
+    assert all(row.breakdown.total == 0.0 for row in trace)
 
 
 def test_minimize_converges_below_tolerance(a1):

@@ -96,6 +96,13 @@ REPORT_BODY_CASES = (
 )
 
 
+# The `spencer varsolve` config whose whole solve ``varsolve_solve_a1_d3n3.json``
+# locks.
+VARSOLVE_SOLVE_CONFIG = {"algebra": "A1", "lattice": {"d": 3, "n": 3}, "seed": 1,
+                         "weights": {"alpha1": 0.5, "alpha3": 1.0, "C": 0.1},
+                         "solver": {"max_iters": 3000}}
+
+
 def report_body_record(args):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
@@ -179,20 +186,17 @@ def main():
 
     # A whole `spencer varsolve` solve: report body and CSV trace; the
     # manifest carries a timestamp and is left out.
-    cfg = {"algebra": "A1", "lattice": {"d": 3, "n": 3}, "seed": 1,
-           "weights": {"alpha1": 0.5, "alpha3": 1.0, "C": 0.1},
-           "solver": {"max_iters": 3000}}
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: os.path.join(tmp, name) for name in ("cfg.json", "vs.json", "vs.csv")}
         with open(paths["cfg.json"], "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh)
+            json.dump(VARSOLVE_SOLVE_CONFIG, fh)
         spencer(["varsolve", "--config", paths["cfg.json"], "--json", paths["vs.json"],
                  "--out", paths["vs.csv"]], standalone_mode=False)
         with open(paths["vs.json"], encoding="utf-8") as fh:
             body = json.load(fh)["body"]
         with open(paths["vs.csv"], encoding="utf-8") as fh:
             trace = fh.read().splitlines()
-    dump("varsolve_solve_a1_d3n3.json", {"config": cfg, "body": body, "csv": trace})
+    dump("varsolve_solve_a1_d3n3.json", {"config": VARSOLVE_SOLVE_CONFIG, "body": body, "csv": trace})
 
     # The serialized G2 table (brackets and Killing entries) and the
     # `spencer lie info` body; the manifest carries a timestamp and is left out.
