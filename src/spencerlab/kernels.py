@@ -17,7 +17,8 @@ no vector touches another's f; the K_f / c_f are the reduced echelon form
 of the span, so two kernels are equal exactly when their ``coords`` lists
 are.  And x lies in the span K exactly when x = sum_f (x[f] / c_f) * K_f,
 since the difference vanishes on every f and the only such vector is 0;
-``outside_span`` tests many vectors this way at once, in integers.
+``outside_span`` tests many vectors this way at once, in integers, as the
+nonzero columns of one ``linalg.product``.
 """
 
 from __future__ import annotations
@@ -29,22 +30,15 @@ from math import gcd, lcm
 from .cartan import CartanDatum, CartanError
 from .chevalley import LieAlgebraTable
 from .linalg import (
-    CSC,
     CertificationError,
     RankCertificate,
     RankDisagreement,
     csc,
     kernel_with_certificate,
+    product,
     value_dtype,
 )
-from .operators import (
-    DualVector,
-    SpencerMatrix,
-    _column_chunks,
-    _runs,
-    delta_constrained,
-    neg_dual,
-)
+from .operators import DualVector, SpencerMatrix, delta_constrained, neg_dual
 from .sym import DEFAULT_BASIS_CAP, SymElement, enumerate_basis
 
 
@@ -117,56 +111,28 @@ def outside_span(kb: KernelBasis):
     monomials and returns the indices, ascending, of the columns of y that
     lie outside the span.  With D the lcm of the free coefficients c_f, a
     column x lies in the span exactly when D x[j] = sum_f x[f] (D / c_f)
-    K_f[j] at every pivot column j (module docs).  Each column's residual
-    terms are summed by ``linalg.csc``, in chunks of whole columns within
-    ``operators._CHUNK_TERMS``.  Values are int64 when the largest entry of y
-    times its longest column times the larger of D and the largest scaled
-    pivot entry, a bound on every sum, is below 2^63, and Python ints
-    otherwise.  Raises ``CertificationError`` unless kb is in free-variable
-    form, before any column is read.
+    K_f[j] at every pivot column j (module docs): exactly when Z x = 0 for
+    the matrix Z that holds D at each pivot monomial and -(D / c_f) times
+    the pivot part of K_f at each free monomial f.  So the columns outside
+    are the nonzero columns of ``linalg.product(Z, y)``.  Raises
+    ``CertificationError`` unless kb is in free-variable form, before any
+    column is read.
     """
     import numpy as np
 
     free_monomials(kb)
     free_cols = [max(vec) for vec in kb.coords]
     scale = lcm(*kb.free_coefficients)
-    # The pivot part of each K_f times -D / c_f, as (f's vector, column, value).
-    parts = [(i, j, -v * (scale // vec[f])) for i, (vec, f) in enumerate(zip(kb.coords, free_cols))
-             if len(vec) > 1 for j, v in vec.items() if j != f]
-    part_len = np.bincount(np.array([i for i, *_ in parts], np.int64), minlength=kb.dim)
-    part_start = np.cumsum(part_len) - part_len
-    part_col = np.array([j for _, j, _ in parts], np.int64)
-    part_values = [v for *_, v in parts]
-    largest = max([scale] + list(map(abs, part_values)))
-    # free[j]: 1 + the vector whose free column is j, 0 at a pivot column, so
-    # an entry at j has expand[free[j]] residual terms.
     free = np.zeros(len(kb.monomials), np.int64)
-    free[free_cols] = np.arange(1, kb.dim + 1)
-    expand = np.concatenate(([1], part_len))
-
-    def residual_terms(col, row, x, part_val):
-        """D x at a pivot row; x[f] times the pivot part of K_f times -D / c_f
-        at the free row of K_f."""
-        f = free[row]
-        at = np.flatnonzero(f)
-        term, entry = _runs(part_start[f[at] - 1], part_len[f[at] - 1])
-        keep, entry = np.flatnonzero(f == 0), at[entry]
-        return (np.concatenate((col[keep], col[entry])),
-                np.concatenate((row[keep], part_col[term])),
-                np.concatenate((scale * x[keep], x[entry] * part_val[term])))
-
-    def outside(y: CSC):
-        lengths = np.diff(y.indptr)
-        dtype = value_dtype(y.max_abs() * int(lengths.max(initial=0)) * largest)
-        if dtype is object:
-            y = CSC(y.indptr, y.rows, np.array(y.values.tolist(), object))
-        part_val = np.array(part_values, dtype)
-        ends = np.concatenate(([0], np.cumsum(expand[free[y.rows]])))[y.indptr]
-        residual = csc(len(lengths), (residual_terms(*y.entries(first, stop), part_val)
-                                      for first, stop in _column_chunks(np.diff(ends))))
-        return np.flatnonzero(np.diff(residual.indptr))
-
-    return outside
+    free[free_cols] = 1
+    pivots = np.flatnonzero(free == 0)
+    parts = [(f, j, -v * (scale // vec[f])) for vec, f in zip(kb.coords, free_cols)
+             for j, v in vec.items() if j != f]
+    values = [scale] * len(pivots) + [v for *_, v in parts]
+    col, row = np.array([(f, j) for f, j, _ in parts], np.int64).reshape(-1, 2).T
+    z = csc(len(free), [(np.concatenate((pivots, col)), np.concatenate((pivots, row)),
+                         np.array(values, value_dtype(max(map(abs, values), default=0))))])
+    return lambda y: np.flatnonzero(np.diff(product(z, y).indptr))
 
 
 def kernel_of_constrained(

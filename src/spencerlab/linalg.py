@@ -11,8 +11,10 @@ later vector uses.  Optionally each pivot also records the combination of
 inserted vectors (by caller tag) that produced it, which yields kernels and
 exact solves.
 
-Every matrix has one layout, :class:`CSC`, built by :func:`csc` alone.  The
-certified pass (:meth:`Eliminator.insert_columns`) takes it whole: numpy
+Every matrix has one layout, :class:`CSC`, built by :func:`csc` alone, and
+one product, :func:`product`, expands one ``CSC`` over another in column
+chunks (the composite of two operators and the span test of ``kernels``).
+The certified pass (:meth:`Eliminator.insert_columns`) takes it whole: numpy
 finds every column's lead and lead value first, and a column whose lead is
 not yet a pivot becomes one unreduced, so it is stored as its column index
 and read into a dict only when a later column meets its lead.  Most pivots
@@ -184,6 +186,61 @@ def csc(ncols: int, chunks: Iterable[tuple]) -> CSC:
         values.append(val[nonzero])
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return CSC(indptr, np.concatenate(rows), np.concatenate(values))
+
+
+# Expanded terms per chunk of columns.  Each term holds about a dozen int64
+# temporaries, so a chunk's arrays stay under 1 MiB whatever the matrix.
+_CHUNK_TERMS = 1 << 13
+
+
+def _column_chunks(sizes):
+    """Column ranges (start, stop) whose sizes, plus one per column (so empty
+    columns fill chunks too), stay within ``_CHUNK_TERMS``; a column with
+    more is a chunk alone."""
+    import numpy as np
+
+    per_col = sizes + 1
+    ends = np.cumsum(per_col)
+    start = 0
+    while start < len(per_col):
+        limit = ends[start] - per_col[start] + _CHUNK_TERMS
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def _runs(starts, counts):
+    """(indices, owners): the index ranges [starts[i], starts[i] + counts[i])
+    concatenated, and the i each index came from."""
+    import numpy as np
+
+    ends = np.cumsum(counts)
+    return (np.repeat(starts + counts - ends, counts) + np.arange(ends[-1] if len(ends) else 0),
+            np.repeat(np.arange(len(counts)), counts))
+
+
+def product(a: CSC, b: CSC) -> CSC:
+    """The matrix product a b, a's columns indexed by b's rows.
+
+    Every entry (mid, j, v) of b meets every entry of column mid of a, and
+    :func:`csc` sums the terms, in chunks of whole columns of b within
+    ``_CHUNK_TERMS`` terms.  Values are int64 when max|a| max|b| times the
+    longest column of b, a bound on every sum, is below 2^63, and Python
+    ints otherwise.
+    """
+    import numpy as np
+
+    lengths, a_len = np.diff(b.indptr), np.diff(a.indptr)
+    dtype = value_dtype(a.max_abs() * b.max_abs() * int(lengths.max(initial=0)))
+
+    def chunk(start, stop):
+        col, mid, v = b.entries(start, stop)
+        term, entry = _runs(a.indptr[mid], a_len[mid])
+        # Converted after the gather: a chunk with no terms converts nothing.
+        return col[entry], a.rows[term], a.values[term].astype(dtype) * v[entry].astype(dtype)
+
+    ends = np.concatenate(([0], np.cumsum(a_len[b.rows])))[b.indptr]
+    return csc(len(lengths), (chunk(*r) for r in _column_chunks(np.diff(ends))))
 
 
 def _sub_scaled(dst: dict, factor, src: dict, p: int | None) -> None:

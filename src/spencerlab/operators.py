@@ -29,33 +29,44 @@ a closed form on a sorted monomial:
     delta(x_{i_0} ... x_{i_{k-1}}) = sum_j (-1)^j delta(x_{i_j}) prod_{l != j} x_{i_l}.
 
 The classical operator is the same sum with every sign +1 and the images
-sum_i x_i [x_i, x_g].  One assembly, ``_assemble``, builds the columns of
-both matrices and of the single-element evaluator ``apply_delta``: it holds
-the image tables as CSR arrays and, per chunk of columns and per position j,
-expands the terms and indexes each term's row by ``sym.rank_weights``
-lookups; ``linalg.csc`` sums duplicate entries.  Its values are int64 when k
-times the largest sum of |entries| of one table is below 2^63, which bounds
-every entry's sum of absolute values, and Python ints in object arrays
-otherwise, in the same code.  ``ad_images`` expands the adjoint action of
-every generator on integer vectors over Sym^k by the same rule and indexing,
-a single index in place of a pair.  A matrix keeps its integer entries as one
-``linalg.CSC``, as sums and composites do, plus one positive denominator:
-the scale with the gcd of it and every entry divided out.  Fractions and
-(row, value) tuples appear only at the boundaries: single-element
-evaluation, ``fraction_columns``, reports and Matrix Market.
+sum_i x_i [x_i, x_g].  One expander, ``_leibniz``, computes every such sum:
+it takes image tables as CSR arrays (per entry an output-column offset, one
+or two inserted indices and an integer) and input entries (owner, sorted
+monomial, integer weight), expands the terms per chunk of whole owners and
+per position j, and indexes each term's row by ``sym.rank_weights`` lookups
+with no sort; ``linalg.csc`` sums duplicate entries.  Its values are int64
+when k times the largest |image|_1 into one output column times the largest
+|weights|_1 of one owner, a bound on every sum, is below 2^63, and Python
+ints in object arrays otherwise, in the same code.  Both matrices are its
+sums with weight 1 per column; ``apply_delta`` passes one element, its
+coefficients scaled to integers, as one owner; ``ad_images`` passes the
+adjoint action of every generator (one inserted index, output column a)
+with integer vectors as owners.  A matrix keeps its integer entries as one
+``linalg.CSC``, as sums and composites (``linalg.product``) do, plus one
+positive denominator: the scale with the gcd of it and every entry divided
+out.  Fractions and (row, value) tuples appear only at the boundaries:
+single-element evaluation, ``fraction_columns``, reports and Matrix Market.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement
 from math import gcd, lcm
 
 from .cartan import adjugate
 from .chevalley import LieAlgebraTable
-from .linalg import CSC, csc, kernel_with_certificate, value_dtype
+from .linalg import (
+    _CHUNK_TERMS,
+    CSC,
+    _column_chunks,
+    _runs,
+    csc,
+    kernel_with_certificate,
+    product,
+    value_dtype,
+)
 from .sym import DEFAULT_BASIS_CAP, SymElement, guard_sym_dim, monomial_at, rank_weights
 
 DualVector = tuple[Fraction, ...]
@@ -182,98 +193,102 @@ def generator_images(
     return GeneratorImages(alg.dim, tuple(tables), scale // c)
 
 
-# Expanded image terms per assembly chunk.  Each term holds about a dozen
-# int64 temporaries, so a chunk's arrays stay under 1 MiB whatever the matrix.
-_CHUNK_TERMS = 1 << 13
-
-
-def _column_chunks(sizes):
-    """Column ranges (start, stop) whose sizes, plus one per column (so empty
-    columns fill chunks too), stay within ``_CHUNK_TERMS``; a column with
-    more is a chunk alone."""
+def _largest_run(keys, values) -> int:
+    """The largest sum of |values| over a run of equal keys (keys >= 0), in Python ints."""
     import numpy as np
 
-    per_col = sizes + 1
-    ends = np.cumsum(per_col)
-    start = 0
-    while start < len(per_col):
-        limit = ends[start] - per_col[start] + _CHUNK_TERMS
-        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
-        yield start, stop
-        start = stop
+    heads = np.flatnonzero(np.diff(keys, prepend=-1)).tolist() + [len(values)]
+    sums = list(accumulate(map(abs, values), initial=0))
+    return max((sums[b] - sums[a] for a, b in zip(heads, heads[1:])), default=0)
 
 
-def _runs(starts, counts):
-    """(indices, owners): the index ranges [starts[i], starts[i] + counts[i])
-    concatenated, and the i each index came from."""
-    import numpy as np
+def _leibniz(images, width: int, entries, signs: list[int]):
+    """Terms of sum_q signs[q] * w * image(x_{m_q}) * prod_{l != q} x_{m_l} per entry (w, m).
 
-    ends = np.cumsum(counts)
-    return (np.repeat(starts + counts - ends, counts) + np.arange(ends[-1] if len(ends) else 0),
-            np.repeat(np.arange(len(counts)), counts))
-
-
-def _assemble(
-    tables: tuple[IntTerms, ...],
-    monomials: Iterable[tuple[int, ...]],
-    signs: list[int],
-):
-    """Entries of the integer columns sum_j signs[j] * tables[m_j] * prod_{l != j} x_{m_l}.
-
-    One column per sorted k-tuple m of ``monomials`` (k = len(signs)); every
-    table is a Sym^2 image keyed by sorted pairs.  Rows are indexed by
-    ``sym.rank_weights`` over Sym^{k+1}.
-    Columns are cut into chunks whose expanded terms, plus one per column,
-    stay within ``_CHUNK_TERMS`` (a column with more is a chunk alone); each
-    chunk is yielded as the (columns, rows, values) arrays ``linalg.csc`` takes.
-    Values are int64 when k times the largest sum of |entries| of one table
-    is below 2^63, so no sum can overflow, and Python ints otherwise.
+    ``images`` is (sizes, offset, inserted, values) in CSR form: the image
+    of generator g is the next sizes[g] entries, each its integer value
+    times the monomial of its t sorted ``inserted`` indices (t = 1 or 2, a
+    row of the 2-d array) in output column ``offset``, the entries of one
+    (g, offset) adjacent.  ``entries`` is (owner, monomials, weights): the
+    integer w times the sorted k-tuple m (k = len(signs)) is one term of its
+    owner's input, owners ascending.  A term lands in column
+    owner * width + offset, its row indexed over Sym^{k - 1 + t} by
+    ``sym.rank_weights`` with no sort.  Owners are cut into chunks whose
+    terms, plus one per owner, stay within ``linalg._CHUNK_TERMS`` (an owner
+    with more is a chunk alone); each chunk is yielded as (first owner,
+    stop, (columns, rows, values)), the triple ``linalg.csc`` takes.  Values
+    are int64 when k times the largest |image|_1 into one output column
+    times the largest |weights|_1 of one owner, a bound on every sum, is
+    below 2^63, and Python ints otherwise.
     """
     # Not a module-level import: loading numpy ahead of the engine modules
     # shifted heap layout and raised the benchmark workloads' peak RSS.
     import numpy as np
 
-    k, n = len(signs), len(tables)
-    mono = np.fromiter(chain.from_iterable(monomials), np.int64).reshape(-1, k)
-    bound = k * max((sum(map(abs, t.values())) for t in tables), default=0)
-    dtype = value_dtype(bound)
-    sizes = np.array([len(t) for t in tables], np.int64)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    first = np.fromiter((a for t in tables for a, _ in t), np.int64, indptr[-1])
-    second = np.fromiter((b for t in tables for _, b in t), np.int64, indptr[-1])
-    values = np.array([v for t in tables for v in t.values()], dtype)
-    # weights[q * stride + c]: the rank weight of index c at position q.
+    sizes, offset, inserted, values = images
+    owner, mono, weights = entries
+    n, k, t = len(sizes), len(signs), inserted.shape[1]
+    column = np.repeat(np.arange(n), sizes) * width + offset
+    dtype = value_dtype(k * _largest_run(column, values) * _largest_run(owner, weights))
+    value, weight = np.array(values, dtype), np.array(weights, dtype)
+    start = np.cumsum(sizes) - sizes
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(owner))))
+    terms = np.concatenate(([0], np.cumsum(sizes[mono].sum(axis=1))))[bounds]
+    # table[p * stride + c]: the rank weight of index c at position p.
     stride = n + 1
-    weights = np.array(rank_weights(n, k + 1), np.int64).ravel()
-    pos = np.arange(k - 1)
-    shifts = np.arange(3)[:, None, None]
+    table = np.array(rank_weights(n, k - 1 + t), np.int64).ravel()
+    pos, shifts = np.arange(k - 1), np.arange(t + 1)[:, None, None]
 
-    for start, stop in _column_chunks(sizes[mono].sum(axis=1)):
-        block = mono[start:stop]
-        width = stop - start
+    for first, stop in _column_chunks(np.diff(terms)):
+        lo, hi = bounds[first], bounds[stop]
+        block = mono[lo:hi]
         cols, rows, vals = [], [], []
-        for j, sign in enumerate(signs):
-            gen = block[:, j]
-            rest = block[:, [l for l in range(k) if l != j]]
-            # The merged (k+1)-tuple puts a after the rest's ca = #(rest < a)
-            # smaller entries and b after cb = #(rest < b) of them plus a; a
-            # rest entry at i then moves 0, 1 or 2 places.  Prefix sums of the
-            # rest's weights at each shift give its part of the row as two
-            # lookups, lo[ca] + hi[cb], with no sort.
-            prefix = np.zeros((3, width, k), np.int64)
-            prefix[:, :, 1:] = np.cumsum(weights[(shifts + pos) * stride + rest], axis=2)
-            lo = (prefix[0] - prefix[1]).ravel()
-            hi = (prefix[1] - prefix[2] + prefix[2][:, -1:]).ravel()
-            term, col = _runs(indptr[gen], sizes[gen])
-            a, b = first[term], second[term]
-            ca = (rest[col] < a[:, None]).sum(axis=1)
-            cb = (rest[col] < b[:, None]).sum(axis=1)
-            row = weights[ca * stride + a] + weights[(cb + 1) * stride + b]
-            row += lo[col * k + ca] + hi[col * k + cb]
-            cols.append(col + start)
+        for q, sign in enumerate(signs):
+            rest = block[:, [l for l in range(k) if l != q]]
+            # The inserted index v_j lands after the c_j = #(rest < v_j)
+            # smaller rest entries and v_0..v_{j-1}; a rest entry moves one
+            # place up per inserted index before it, s = 0..t places in all.
+            # With P_s the prefix sums of the rest's weights at shift s, its
+            # part of the row is sum_j (P_j - P_{j+1})[c_j] + P_t[k - 1]: one
+            # lookup per inserted index, with no sort.
+            prefix = np.zeros((t + 1, hi - lo, k), np.int64)
+            prefix[:, :, 1:] = np.cumsum(table[(shifts + pos) * stride + rest], axis=2)
+            step = prefix[:-1] - prefix[1:]
+            step[-1] += prefix[-1][:, -1:]
+            term, e = _runs(start[block[:, q]], sizes[block[:, q]])
+            near, row = rest[e], 0
+            for j in range(t):
+                v = inserted[term, j]
+                c = (near < v[:, None]).sum(axis=1)
+                row += table[(c + j) * stride + v] + step[j].ravel()[e * k + c]
+            cols.append(owner[lo:hi][e] * width + offset[term])
             rows.append(row)
-            vals.append(values[term] * sign)
-        yield np.concatenate(cols), np.concatenate(rows), np.concatenate(vals)
+            vals.append(value[term] * (sign * weight[lo:hi])[e])
+        yield first, stop, (np.concatenate(cols), np.concatenate(rows), np.concatenate(vals))
+
+
+def _sym2_images(tables: tuple[IntTerms, ...]):
+    """Integer Sym^2 image tables in the CSR form of ``_leibniz``: one output
+    column (offset 0), the pair of each monomial inserted."""
+    import numpy as np
+
+    sizes = np.array([len(t) for t in tables], np.int64)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(tables)), np.int64,
+                        2 * int(sizes.sum())).reshape(-1, 2)
+    return sizes, np.zeros(len(pairs), np.int64), pairs, [v for t in tables for v in t.values()]
+
+
+def _assemble(tables: tuple[IntTerms, ...], ncols: int, signs: list[int]) -> CSC:
+    """The integer columns sum_q signs[q] * tables[m_q] * prod_{l != q} x_{m_l},
+    one per monomial m of Sym^k (k = len(signs)) in ``enumerate_basis`` order,
+    by ``_leibniz`` with weight 1."""
+    import numpy as np
+
+    k = len(signs)
+    mono = np.fromiter(chain.from_iterable(combinations_with_replacement(range(len(tables)), k)),
+                       np.int64, ncols * k).reshape(-1, k)
+    chunks = _leibniz(_sym2_images(tables), 1, (np.arange(ncols), mono, [1] * ncols), signs)
+    return csc(ncols, (chunk for *_, chunk in chunks))
 
 
 def ad_images(alg: LieAlgebraTable, vectors: list[dict[int, int]],
@@ -285,58 +300,29 @@ def ad_images(alg: LieAlgebraTable, vectors: list[dict[int, int]],
     ad_a(s) replaces one factor x_b of each monomial at a time by
     [x_a, x_b] = -[x_b, x_a]: the table is antisymmetric by construction and
     ``chevalley.prove_jacobi`` checks it, so row b serves as column b.  The
-    vectors are cut into chunks whose terms stay within ``_CHUNK_TERMS`` (a
-    vector with more is a chunk alone), and per chunk this yields (first,
-    images): column (i - first) * dim + a of the ``linalg.CSC`` images is
-    ad_a(vectors[i]), its rows indexed by ``sym.rank_weights`` with no sort.
-    Values are int64 when k times the largest |[x_b, x_a]|_1 times the
-    largest |s|_1, a bound on every sum, is below 2^63, and Python ints
-    otherwise.
+    expansion is ``_leibniz`` with the vectors as owners and every sign +1;
+    per chunk of whole vectors this yields (first, images): column
+    (i - first) * dim + a of the ``linalg.CSC`` images is ad_a(vectors[i]).
     """
     import numpy as np
 
     n, k = alg.dim, len(monomials[0])
     rows = alg.bracket_rows
-    # One (c, coefficient) tuple per bracket [x_b, x_a]; row b becomes one
-    # run of (a, c, coefficient of x_c in [x_a, x_b]).
+    # The image of x_b: x_c times the coefficient of x_c in [x_a, x_b], in
+    # output column a, one run per bracket [x_b, x_a].
     brackets = list(chain.from_iterable(row.values() for row in rows))
     length = np.fromiter(map(len, brackets), np.int64, len(brackets))
-    gen = np.repeat(np.fromiter(chain.from_iterable(rows), np.int64, len(brackets)), length)
+    offset = np.repeat(np.fromiter(chain.from_iterable(rows), np.int64, len(brackets)), length)
     target, coeff = np.fromiter(chain.from_iterable(chain.from_iterable(brackets)),
                                 np.int64).reshape(-1, 2).T
-    coeff = -1 * coeff
-    row_end = np.concatenate(([0], np.cumsum(length)))[np.cumsum([len(row) for row in rows])]
-    row_len = np.diff(row_end, prepend=0)
-    values = list(chain.from_iterable(vec.values() for vec in vectors))
-    vec_len = np.fromiter(map(len, vectors), np.int64, len(vectors))
-    # |[x_b, x_a]|_1 and |s|_1 are at most their largest entries times length.
-    value = np.array(values, value_dtype(
-        k * max(int(coeff.max(initial=0)), -int(coeff.min(initial=0))) * int(length.max(initial=0))
-        * max(map(abs, values), default=0) * int(vec_len.max(initial=0))))
-    columns = chain.from_iterable(vectors)
-    mono = np.fromiter(chain.from_iterable(map(monomials.__getitem__, columns)),
-                       np.int64, len(values) * k).reshape(-1, k)
-    bounds = np.concatenate(([0], np.cumsum(vec_len)))
-    terms = np.concatenate(([0], np.cumsum(row_len[mono].sum(axis=1))))
-    # weights[q * stride + c]: the rank weight of index c at position q.
-    stride = n + 1
-    weights = np.array(rank_weights(n, k), np.int64).ravel()
-    for first, stop in _column_chunks(terms[bounds[1:]] - terms[bounds[:-1]]):
-        lo, hi = bounds[first], bounds[stop]
-        block, owner = mono[lo:hi], np.repeat(np.arange(stop - first), vec_len[first:stop])
-        chunk = []
-        for q in range(k):
-            # x_c replaces the factor at q and lands after the ca = #(rest < c)
-            # smaller rest entries; the rest entries from place ca on move one
-            # place up, so the row index needs no sort.
-            term, entry = _runs(row_end[block[:, q]] - row_len[block[:, q]], row_len[block[:, q]])
-            c, rest = target[term], block[entry][:, [l for l in range(k) if l != q]]
-            ca = (rest < c[:, None]).sum(axis=1)
-            row = weights[ca * stride + c]
-            for i in range(k - 1):
-                row += weights[(i + (ca <= i)) * stride + rest[:, i]]
-            chunk.append((owner[entry] * n + gen[term], row, value[lo + entry] * coeff[term]))
-        yield first, csc((stop - first) * n, [tuple(map(np.concatenate, zip(*chunk)))])
+    sizes = np.array([sum(map(len, row.values())) for row in rows], np.int64)
+    images = (sizes, offset, target[:, None], (-1 * coeff).tolist())
+    owner = np.repeat(np.arange(len(vectors)), list(map(len, vectors)))
+    mono = np.fromiter(chain.from_iterable(monomials[j] for vec in vectors for j in vec),
+                       np.int64, len(owner) * k).reshape(-1, k)
+    weights = [v for vec in vectors for v in vec.values()]
+    for first, stop, (col, row, val) in _leibniz(images, n, (owner, mono, weights), [1] * k):
+        yield first, csc((stop - first) * n, [(col - first * n, row, val)])
 
 
 def apply_delta(
@@ -347,20 +333,25 @@ def apply_delta(
 ) -> SymElement:
     """Constraint-coupled operator applied to one element (no full matrix).
 
-    Assembles the columns of the element's monomials and combines them with
-    its coefficients; Sym^{k+1} must be within the default basis cap.
+    Expands the element, its coefficients scaled to integers, as the one
+    owner of ``_leibniz``; Sym^{k+1} must be within the default basis cap.
     """
+    import numpy as np
+
     lam = check_dual_vector(alg, lam)
     if images is None:
         images = generator_images(alg, lam)
     n, k = alg.dim, s.degree
+    if k < 1:
+        raise ValueError("degree k must be >= 1")
     guard_sym_dim(n, k + 1)
-    cols = csc(len(s.terms), _assemble(images.tables, s.terms, [(-1) ** j for j in range(k)]))
-    acc: dict[int, Fraction] = {}
-    for (rows, values), coeff in zip(cols, s.terms.values()):
-        for r, v in zip(rows.tolist(), values.tolist()):
-            acc[r] = acc.get(r, 0) + coeff * v
-    terms = {monomial_at(n, k + 1, r): Fraction(c, images.scale) for r, c in acc.items() if c}
+    coeffs, d = _scaled(s.terms.values())
+    mono = np.fromiter(chain.from_iterable(s.terms), np.int64, len(coeffs) * k).reshape(-1, k)
+    entries = (np.zeros(len(coeffs), np.int64), mono, coeffs)
+    chunks = _leibniz(_sym2_images(images.tables), 1, entries, [(-1) ** j for j in range(k)])
+    rows, values = csc(1, (chunk for *_, chunk in chunks))[0]
+    terms = {monomial_at(n, k + 1, r): Fraction(v, images.scale * d)
+             for r, v in zip(rows.tolist(), values.tolist())}
     return SymElement(k + 1, n, terms)
 
 
@@ -447,24 +438,10 @@ class SpencerMatrix:
         """self o inner, requiring inner.k_to == self.k_from."""
         if inner.nrows != self.ncols:
             raise ValueError("composition shape mismatch")
-        import numpy as np
-
-        outer, right = self.cols, inner.cols
-        # Entry (r, j) sums at most len(column j) products of one entry each.
-        longest = int(np.diff(right.indptr).max(initial=0))
-        dtype = value_dtype(outer.max_abs() * right.max_abs() * longest)
-        # Each inner entry (j, mid, v) meets every entry of outer column mid.
-        j, mid, v = right.entries()
-        count = np.diff(outer.indptr)[mid]
-        owner = np.repeat(np.arange(len(mid)), count)
-        at = np.repeat(outer.indptr[mid] - (np.cumsum(count) - count), count)
-        at += np.arange(len(at))
-        values = v.astype(dtype)[owner] * outer.values.astype(dtype)[at]
-        entries = (j[owner], outer.rows[at], values)
         return SpencerMatrix(
             "composite", self.lam, inner.k_from, self.k_to, self.algebra_label,
             self.dim, self.nrows, inner.ncols,
-            *_reduced(csc(inner.ncols, [entries]), self.denominator * inner.denominator),
+            *_reduced(product(self.cols, inner.cols), self.denominator * inner.denominator),
         )
 
     def to_matrix_market(self) -> str:
@@ -495,8 +472,7 @@ def delta_constrained(
     ncols = guard_sym_dim(n, k, cap)
     nrows = guard_sym_dim(n, k + 1, cap)
     images = generator_images(alg, lam, formula=formula)
-    monomials = combinations_with_replacement(range(n), k)
-    cols = csc(ncols, _assemble(images.tables, monomials, [(-1) ** j for j in range(k)]))
+    cols = _assemble(images.tables, ncols, [(-1) ** j for j in range(k)])
     variant = "constrained" if formula == "symmetrized" else "equivalent-form"
     return SpencerMatrix(
         variant, lam, k, k + 1, alg.label, n, nrows, ncols, *_reduced(cols, images.scale)
@@ -525,8 +501,7 @@ def delta_classical(
     n = alg.dim
     ncols = guard_sym_dim(n, k, cap)
     nrows = guard_sym_dim(n, k + 1, cap)
-    monomials = combinations_with_replacement(range(n), k)
-    cols = csc(ncols, _assemble(_classical_images(alg), monomials, [1] * k))
+    cols = _assemble(_classical_images(alg), ncols, [1] * k)
     return SpencerMatrix("classical", None, k, k + 1, alg.label, n, nrows, ncols, cols)
 
 

@@ -13,18 +13,16 @@ irreducible summands on its dominant weights only.
 
 The submodule check needs no elimination: ``is_g_submodule`` takes ad_a(s)
 for every generator x_a and kernel vector s from ``operators.ad_images``
-(the Leibniz rule, one chunk of whole vectors at a time, rows indexed by
-``sym.rank_weights`` with no sort) and reads span membership off the
-free-variable form with ``kernels.outside_span``; each sum is one stable
-argsort and ``add.reduceat`` in ``linalg.csc``.  Values are int64 when a
-bound on every sum, computed in Python ints, is below 2^63, as
-``linalg.value_dtype`` decides, and Python ints in object arrays otherwise,
-in the same code: k |[x_b, x_a]|_1 |s|_1 for the images, and the largest
-image entry times the longest image column times the larger of D and the
-largest scaled pivot entry for the residuals, D being the lcm of the free
-coefficients.  ``weight_decomposition`` gets each monomial's weight from one
-gather of the generator weights and a sum; only a kernel that is not
-weight-graded takes certified ranks.
+(the one Leibniz expander, ``operators._leibniz``, one chunk of whole
+vectors at a time) and reads span membership off the free-variable form
+with ``kernels.outside_span`` (the one sparse product, ``linalg.product``).
+Values are int64 when a bound on every sum, computed in Python ints, is
+below 2^63, as ``linalg.value_dtype`` decides, and Python ints in object
+arrays otherwise, in the same code: k max|[x_b, x_a]|_1 max|s|_1 for the
+images, and max|Z| max|y| times the longest column of y for the span
+test's product Z y.  ``weight_decomposition`` gets each monomial's weight
+from one gather of the generator weights and a sum; only a kernel that is
+not weight-graded takes certified ranks.
 """
 
 from __future__ import annotations
@@ -42,16 +40,6 @@ from .linalg import csc, kernel_with_certificate, value_dtype
 from .operators import ad_images
 
 WeightVector = tuple[int, ...]
-
-
-def monomial_weight(alg: LieAlgebraTable, mono: tuple[int, ...]) -> WeightVector:
-    rank = alg.rank
-    acc = [0] * rank
-    for idx in mono:
-        w = alg.weights[idx]
-        for i in range(rank):
-            acc[i] += w[i]
-    return tuple(acc)
 
 
 def is_g_submodule(alg: LieAlgebraTable, kb: KernelBasis) -> dict:

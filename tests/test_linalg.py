@@ -18,6 +18,7 @@ from spencerlab.linalg import (
     csc,
     dense_rank_modp,
     kernel_with_certificate,
+    product,
     rref_dense,
     same_subspace,
     sparse_kernel_exact,
@@ -140,6 +141,39 @@ def test_certificate_large_path_forced(monkeypatch):
     assert cert.exact_confirmed
     assert cert.rank + len(vectors) == ncols
     assert verify_kernel_vectors(icols, vectors)
+
+
+def _random_columns(rng, nrows, ncols, top):
+    """Sparse random integer columns, up to three entries each, some empty."""
+    return [[(r, rng.choice([-1, 1]) * rng.randrange(1, top))
+             for r in sorted(rng.sample(range(nrows), rng.randrange(4)))] for _ in range(ncols)]
+
+
+@pytest.mark.parametrize("terms", [None, 1, 7])
+@pytest.mark.parametrize("seed,top", [(0, 10), (1, 10), (2, 2**40), (3, 2**40)])
+def test_product_matches_the_dense_integer_product(seed, top, terms, monkeypatch):
+    if terms is not None:
+        monkeypatch.setattr(linalg, "_CHUNK_TERMS", terms)
+    rng = random.Random(seed)
+    a = _random_columns(rng, 6, 5, top)
+    b = _random_columns(rng, 5, 8, top)
+    # a's column 1 is -2 times its column 0 and its column 3 is empty, so b's
+    # column 0 meets only a's empty column and column 1's terms cancel to
+    # zero; b's column 2 is empty.
+    a[0] = [(0, 3), (4, top - 1)]
+    a[1] = [(r, -2 * v) for r, v in a[0]]
+    a[3] = []
+    b[0], b[1], b[2] = [(3, 5)], [(0, 2), (1, 1)], []
+    got = product(_csc(a), _csc(b))
+    dense_a = [[dict(col).get(r, 0) for col in a] for r in range(6)]
+    expected = []
+    for col in b:
+        column = [sum(dense_a[r][mid] * v for mid, v in col) for r in range(6)]
+        expected.append([(r, v) for r, v in enumerate(column) if v])
+    assert [list(zip(rows.tolist(), values.tolist())) for rows, values in got] == expected
+    assert expected[0] == expected[1] == expected[2] == []
+    assert got.values.dtype == (object if top > 2**32 else np.int64)
+    assert all(type(v) is int for v in got.values.tolist())
 
 
 def test_same_subspace_detects_difference():

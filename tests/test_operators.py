@@ -5,7 +5,9 @@ import json
 import random
 from fractions import Fraction as Q
 
-from spencerlab import operators
+import pytest
+
+from spencerlab import linalg
 from spencerlab.chevalley import algebra, bracket
 from spencerlab.kernels import kernel
 from spencerlab.linalg import Eliminator
@@ -333,7 +335,7 @@ def test_chunk_size_does_not_change_columns(a2, g2, monkeypatch):
     lam = random_dual(g2, seed=1000)
     expect = (delta_constrained(g2, lam, 3).cols, delta_classical(a2, 3).cols)
     for budget in (1, 10**9):
-        monkeypatch.setattr(operators, "_CHUNK_TERMS", budget)
+        monkeypatch.setattr(linalg, "_CHUNK_TERMS", budget)
         got = (delta_constrained(g2, lam, 3).cols, delta_classical(a2, 3).cols)
         for a, b in zip(got, expect):
             for name in ("indptr", "rows", "values"):
@@ -366,6 +368,11 @@ def test_apply_delta_agrees_with_matrix_columns(a2, g2):
             for r, v in cols[j]:
                 expect[rows[r]] = expect.get(rows[r], 0) + c * v
         assert apply_delta(alg, lam, el).terms == {m: v for m, v in expect.items() if v}
+
+
+def test_apply_delta_rejects_a_degree_zero_element(a1):
+    with pytest.raises(ValueError, match="degree k must be >= 1"):
+        apply_delta(a1, cartan_dual(a1, 1), SymElement(0, a1.dim, {(): Q(3)}))
 
 
 # -- mirror antisymmetry ----------------------------------------------------------

@@ -11,7 +11,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
-from spencerlab import kernels, operators
+from spencerlab import kernels, linalg, operators
 from spencerlab.chevalley import algebra
 from spencerlab.kernels import KernelBasis, free_monomials, kernel_of_constrained
 from spencerlab.linalg import (
@@ -30,13 +30,24 @@ from spencerlab.repdecomp import (
     freudenthal_multiplicities,
     irrep_weight_multiset,
     is_g_submodule,
-    monomial_weight,
     weight_decomposition,
     weyl_dim,
 )
 from spencerlab.sym import SymElement
 
 from conftest import load_golden
+
+
+def monomial_weight(alg, mono):
+    """The weight of a monomial, the sum of its generators' weights: the
+    reference for ``weight_decomposition``'s gather."""
+    rank = alg.rank
+    acc = [0] * rank
+    for idx in mono:
+        w = alg.weights[idx]
+        for i in range(rank):
+            acc[i] += w[i]
+    return tuple(acc)
 
 
 def ad_action_on_sym(alg, x, s):
@@ -141,6 +152,7 @@ def test_submodule_check_matches_span_elimination(label, k, spec, tmp_path, monk
 
     monkeypatch.setattr(operators, "value_dtype", recorded)
     monkeypatch.setattr(kernels, "value_dtype", recorded)
+    monkeypatch.setattr(linalg, "value_dtype", recorded)
     assert is_g_submodule(alg, kb) == expected
     # Images of entries past 2^63 are object arrays; the lcm D of small free
     # coefficients passes 2^63 only in the residuals.
@@ -148,7 +160,7 @@ def test_submodule_check_matches_span_elimination(label, k, spec, tmp_path, monk
     # Chunks of one term put every vector, and every (a, s) pair at the
     # substitution, in a chunk of its own; seven cut between them.
     for terms in (1, 7):
-        monkeypatch.setattr(operators, "_CHUNK_TERMS", terms)
+        monkeypatch.setattr(linalg, "_CHUNK_TERMS", terms)
         assert is_g_submodule(alg, kb) == expected
 
 
@@ -181,16 +193,25 @@ def _hand_built_kernel_basis(alg, k, spec):
     return kb
 
 
-@pytest.mark.parametrize("label,k,spec", [("A2", 2, "random:4321"), ("G2", 3, "huge")])
+@pytest.mark.parametrize("label,k,spec", [
+    ("A2", 2, "random:4321"), ("G2", 3, "huge"), ("A2", 1, "zero"), ("G2", 1, "vectors"),
+])
 @pytest.mark.parametrize("terms", [None, 7])
 def test_ad_images_match_the_fraction_action(label, k, spec, terms, monkeypatch):
+    # At k = 1 each monomial is one factor and the rest it leaves is empty.
     alg = algebra(label)
     if spec == "huge":
         kb = _hand_built_kernel_basis(alg, k, spec)
+    elif spec == "vectors":
+        rng = random.Random(k)
+        monomials = list(combinations_with_replacement(range(alg.dim), k))
+        coords = [{j: rng.choice([-3, -1, 2, 5]) for j in sorted(rng.sample(range(len(monomials)), 4))}
+                  for _ in range(5)]
+        kb = KernelBasis(k, alg.label, len(coords), coords, monomials, alg.dim)
     else:
         kb, _ = kernel_of_constrained(alg, parse_lambda_spec(alg, f"preset:{spec}"), k)
     if terms is not None:
-        monkeypatch.setattr(operators, "_CHUNK_TERMS", terms)
+        monkeypatch.setattr(linalg, "_CHUNK_TERMS", terms)
     got = {}
     for first, images in operators.ad_images(alg, kb.coords, kb.monomials):
         for col, (rows, values) in enumerate(images):
