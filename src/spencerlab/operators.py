@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
+from operator import itemgetter
 
 from .cartan import adjugate
 from .chevalley import LieAlgebraTable
@@ -257,10 +258,10 @@ def _leibniz(images, width: int, entries, signs: list[int]):
             step = prefix[:-1] - prefix[1:]
             step[-1] += prefix[-1][:, -1:]
             term, e = _runs(start[block[:, q]], sizes[block[:, q]])
-            near, row = rest[e], 0
+            row = 0
             for j in range(t):
                 v = inserted[term, j]
-                c = (near < v[:, None]).sum(axis=1)
+                c = (rest[e] < v[:, None]).sum(axis=1)
                 row += table[(c + j) * stride + v] + step[j].ravel()[e * k + c]
             cols.append(owner[lo:hi][e] * width + offset[term])
             rows.append(row)
@@ -286,10 +287,12 @@ def _assemble(tables: tuple[IntTerms, ...], ncols: int, signs: list[int]) -> CSC
     import numpy as np
 
     k = len(signs)
-    mono = np.fromiter(chain.from_iterable(combinations_with_replacement(range(len(tables)), k)),
-                       np.int64, ncols * k).reshape(-1, k)
-    chunks = _leibniz(_sym2_images(tables), 1, (np.arange(ncols), mono, [1] * ncols), signs)
-    return csc(ncols, (chunk for *_, chunk in chunks))
+    basis = chain.from_iterable(combinations_with_replacement(range(len(tables)), k))
+    # Only the expander holds the monomials, and each chunk is passed on, not
+    # kept: both are freed before csc concatenates the chunks.
+    chunks = _leibniz(_sym2_images(tables), 1, (
+        np.arange(ncols), np.fromiter(basis, np.int64, ncols * k).reshape(-1, k), [1] * ncols), signs)
+    return csc(ncols, map(itemgetter(2), chunks))
 
 
 def ad_images(alg: LieAlgebraTable, vectors: list[dict[int, int]],
@@ -350,7 +353,7 @@ def apply_delta(
     mono = np.fromiter(chain.from_iterable(s.terms), np.int64, len(coeffs) * k).reshape(-1, k)
     entries = (np.zeros(len(coeffs), np.int64), mono, coeffs)
     chunks = _leibniz(_sym2_images(images.tables), 1, entries, [(-1) ** j for j in range(k)])
-    rows, values = csc(1, (chunk for *_, chunk in chunks))[0]
+    rows, values = csc(1, map(itemgetter(2), chunks))[0]
     terms = {monomial_at(n, k + 1, r): Fraction(v, images.scale * d)
              for r, v in zip(rows.tolist(), values.tolist())}
     return SymElement(k + 1, n, terms)
