@@ -29,23 +29,16 @@ a closed form on a sorted monomial:
     delta(x_{i_0} ... x_{i_{k-1}}) = sum_j (-1)^j delta(x_{i_j}) prod_{l != j} x_{i_l}.
 
 The classical operator is the same sum with every sign +1 and the images
-sum_i x_i [x_i, x_g].  One expander, ``_leibniz``, computes every such sum:
-it takes image tables as CSR arrays (per entry an output-column offset, one
-or two inserted indices and an integer) and input entries (owner, sorted
-monomial, integer weight), expands the terms per chunk of whole owners and
-per position j, and indexes each term's row by ``sym.rank_weights`` lookups
-with no sort; ``linalg.csc`` sums duplicate entries.  Its values are int64
-when k times the largest |image|_1 into one output column times the largest
-|weights|_1 of one owner, a bound on every sum, is below 2^63, and Python
-ints in object arrays otherwise, in the same code.  Both matrices are its
-sums with weight 1 per column; ``apply_delta`` passes one element, its
-coefficients scaled to integers, as one owner; ``ad_images`` passes the
-adjoint action of every generator (one inserted index, output column a)
-with integer vectors as owners.  A matrix keeps its integer entries as one
-``linalg.CSC``, as sums and composites (``linalg.product``) do, plus one
-positive denominator: the scale with the gcd of it and every entry divided
-out.  Fractions and (row, value) tuples appear only at the boundaries:
-single-element evaluation, ``fraction_columns``, reports and Matrix Market.
+sum_i x_i [x_i, x_g].  One expander, ``_leibniz``, computes every such sum
+in integers, rows indexed by ``sym.rank_weights`` with no sort and values
+int64 or Python ints from one bound: both matrices with weight 1 per
+column, ``apply_delta`` with one element's scaled coefficients as one
+owner, and ``ad_images`` with the adjoint action and integer vectors as
+owners.  A matrix keeps its integer entries as one ``linalg.CSC``, as sums
+and composites (``linalg.product``) do, plus one positive denominator: the
+scale with the gcd of it and every entry divided out.  Fractions and (row,
+value) tuples appear only at the boundaries: single-element evaluation,
+``fraction_columns``, reports and Matrix Market.
 """
 
 from __future__ import annotations
@@ -215,13 +208,11 @@ def _leibniz(images, width: int, entries, signs: list[int]):
     integer w times the sorted k-tuple m (k = len(signs)) is one term of its
     owner's input, owners ascending.  A term lands in column
     owner * width + offset, its row indexed over Sym^{k - 1 + t} by
-    ``sym.rank_weights`` with no sort.  Owners are cut into chunks whose
-    terms, plus one per owner, stay within ``linalg._CHUNK_TERMS`` (an owner
-    with more is a chunk alone); each chunk is yielded as (first owner,
-    stop, (columns, rows, values)), the triple ``linalg.csc`` takes.  Values
-    are int64 when k times the largest |image|_1 into one output column
-    times the largest |weights|_1 of one owner, a bound on every sum, is
-    below 2^63, and Python ints otherwise.
+    ``sym.rank_weights`` with no sort.  Each chunk of whole owners within
+    ``linalg._CHUNK_TERMS`` terms is yielded as (first owner, stop, the
+    ``linalg.csc`` triple).  Values are int64 when k times the largest
+    |image|_1 into one output column times the largest |weights|_1 of one
+    owner, a bound on every sum, is below 2^63, and Python ints otherwise.
     """
     # Not a module-level import: loading numpy ahead of the engine modules
     # shifted heap layout and raised the benchmark workloads' peak RSS.
@@ -270,8 +261,7 @@ def _leibniz(images, width: int, entries, signs: list[int]):
 
 
 def _sym2_images(tables: tuple[IntTerms, ...]):
-    """Integer Sym^2 image tables in the CSR form of ``_leibniz``: one output
-    column (offset 0), the pair of each monomial inserted."""
+    """Sym^2 image tables as ``_leibniz`` takes them: offset 0, pairs inserted."""
     import numpy as np
 
     sizes = np.array([len(t) for t in tables], np.int64)
